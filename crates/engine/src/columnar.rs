@@ -107,8 +107,8 @@ pub(crate) type ModelPipe = Pipeline<'static, ModelJob, ModelJob>;
 
 /// The modeling stage: feeds records through the predictor banks and
 /// appends predictor codes and miss values to the current block's
-/// streams. Shared by the in-memory codec, the streaming codec, and
-/// [`crate::codec::raw_streams`] so the three can never drift apart.
+/// streams. Shared by the block writer ([`crate::codec`]) and
+/// [`crate::codec::raw_streams`] so the two can never drift apart.
 pub(crate) struct Modeler {
     banks: Vec<Option<FieldBank>>,
     layout: Layout,
@@ -317,8 +317,8 @@ fn map_replay(
 pub(crate) type ReplayPipe = Pipeline<'static, ReplayJob, ReplayJob>;
 
 /// The replay stage: reconstructs records from decoded code and value
-/// streams, carrying predictor state across blocks. Shared by the
-/// in-memory and streaming decompressors.
+/// streams, carrying predictor state across blocks. The block decoder
+/// ([`crate::codec`]) drives it for every decode entry point.
 pub(crate) struct Replayer {
     banks: Vec<Option<FieldBank>>,
     layout: Layout,

@@ -35,19 +35,18 @@ pub mod options;
 pub(crate) mod pool;
 pub mod postcodec;
 pub mod seek;
-pub mod stream_io;
 pub mod streams;
 pub mod usage;
 
+pub use codec::{
+    compress_stream, compress_stream_with_telemetry, decompress_stream,
+    decompress_stream_with_telemetry,
+};
 pub use evaluate::{score_candidates, score_candidates_with_telemetry, CandidateScore};
 pub use options::EngineOptions;
 pub use pool::with_job_priority;
 pub use postcodec::{Backend, PostCodec};
 pub use seek::{extract_range, inspect, ContainerInfo, SpanInfo, SEEK_BYTES_READ};
-pub use stream_io::{
-    compress_stream, compress_stream_with_telemetry, decompress_stream,
-    decompress_stream_with_telemetry, StreamError,
-};
 pub use tcgen_predictors::{OccTable, TableOccupancy};
 /// The telemetry subsystem, re-exported so engine users need not depend
 /// on `tcgen-telemetry` directly.
@@ -127,6 +126,61 @@ impl From<blockzip::Error> for Error {
     }
 }
 
+/// An I/O failure or a codec failure during streaming or seeking.
+#[derive(Debug)]
+pub enum StreamError {
+    /// The underlying reader or writer failed.
+    Io(std::io::Error),
+    /// The trace or container was malformed.
+    Codec(Error),
+}
+
+impl StreamError {
+    /// A [`Error::Corrupt`] codec error.
+    pub(crate) fn corrupt(msg: impl Into<String>) -> Self {
+        StreamError::Codec(Error::Corrupt(msg.into()))
+    }
+
+    /// The codec error of an operation whose reads and writes cannot fail
+    /// (byte slices in, vectors out).
+    pub(crate) fn into_codec(self) -> Error {
+        match self {
+            StreamError::Codec(e) => e,
+            StreamError::Io(e) => Error::Internal(format!("i/o on an in-memory buffer: {e}")),
+        }
+    }
+}
+
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::Io(e) => write!(f, "i/o: {e}"),
+            StreamError::Codec(e) => write!(f, "codec: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for StreamError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StreamError::Io(e) => Some(e),
+            StreamError::Codec(e) => Some(e),
+        }
+    }
+}
+
+impl From<std::io::Error> for StreamError {
+    fn from(e: std::io::Error) -> Self {
+        StreamError::Io(e)
+    }
+}
+
+impl From<Error> for StreamError {
+    fn from(e: Error) -> Self {
+        StreamError::Codec(e)
+    }
+}
+
 /// A trace compressor/decompressor for one specification.
 ///
 /// The engine is stateless across calls: each [`Engine::compress`] or
@@ -183,14 +237,7 @@ impl Engine {
     /// Returns [`Error::PartialRecord`] if `raw` is not a whole number of
     /// records after the header.
     pub fn compress(&self, raw: &[u8]) -> Result<Vec<u8>, Error> {
-        codec::compress_with_hash(
-            &self.spec,
-            &self.options,
-            self.spec_hash,
-            raw,
-            None,
-            self.telemetry.as_ref(),
-        )
+        codec::compress_slice(self, raw, None)
     }
 
     /// Compresses a raw trace and reports predictor usage (the feedback
@@ -201,14 +248,7 @@ impl Engine {
     /// As for [`Engine::compress`].
     pub fn compress_with_usage(&self, raw: &[u8]) -> Result<(Vec<u8>, UsageReport), Error> {
         let mut report = UsageReport::new(&self.spec);
-        let packed = codec::compress_with_hash(
-            &self.spec,
-            &self.options,
-            self.spec_hash,
-            raw,
-            Some(&mut report),
-            self.telemetry.as_ref(),
-        )?;
+        let packed = codec::compress_slice(self, raw, Some(&mut report))?;
         Ok((packed, report))
     }
 
@@ -219,13 +259,7 @@ impl Engine {
     /// Returns [`Error::SpecMismatch`] for containers of other formats
     /// and [`Error::Corrupt`]/[`Error::Truncated`] on damage.
     pub fn decompress(&self, packed: &[u8]) -> Result<Vec<u8>, Error> {
-        codec::decompress_with_hash(
-            &self.spec,
-            &self.options,
-            self.spec_hash,
-            packed,
-            self.telemetry.as_ref(),
-        )
+        codec::decompress_slice(self, packed)
     }
 }
 

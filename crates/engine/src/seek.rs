@@ -2,23 +2,24 @@
 //! prelude and footer without a specification, and extract an arbitrary
 //! record range by reading only the footer plus the spans that cover it.
 //!
-//! Both entry points work over `Read + Seek`, so a multi-gigabyte
+//! Both entry points work over `Read + Seek` through the container's one
+//! frame reader ([`crate::container::FrameReader`]), so a multi-gigabyte
 //! container on disk costs three reads for [`inspect`] (prelude, footer
 //! tail, footer body) and, for [`extract_range`], additionally the
-//! covering checkpoint segment and block frames — never the whole file.
+//! covering checkpoint frame and block frames — never the whole file.
+//! The covering span decodes through the same block decoder as a full
+//! decompression ([`crate::codec::decode_span`]).
 
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek};
 
 use tcgen_spec::TraceSpec;
 use tcgen_telemetry::Recorder;
 
-use crate::codec::spec_hash;
-use crate::columnar::Replayer;
-use crate::container::{self, BLOCK_MARKER, CHECKPOINT_MARKER, FOOTER_TAIL_LEN, PRELUDE_LEN};
+use crate::codec::{decode_span, spec_hash};
+use crate::container::{self, Frame, FrameReader};
 use crate::options::EngineOptions;
 use crate::postcodec::Backend;
-use crate::stream_io::StreamError;
-use crate::Error;
+use crate::StreamError;
 
 /// Telemetry counter fed with every byte [`extract_range`] reads from
 /// the container, so tests (and curious users) can verify that a range
@@ -78,31 +79,27 @@ pub struct ContainerInfo {
 /// [`StreamError::Codec`] on a malformed prelude or footer, and I/O
 /// errors from the reader.
 pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamError> {
-    let file_len = reader.seek(SeekFrom::End(0))?;
-    reader.seek(SeekFrom::Start(0))?;
-    let mut prelude_bytes = [0u8; PRELUDE_LEN];
-    reader.read_exact(&mut prelude_bytes).map_err(short_read)?;
-    let prelude = container::parse_prelude(&prelude_bytes)?;
+    let mut frames = FrameReader::seekable(reader, None)?;
+    let prelude = frames.prelude()?;
     let checkpointed = prelude.flags & EngineOptions::FLAG_CHECKPOINTS != 0;
     let mut info = ContainerInfo {
-        version: prelude_bytes[4],
+        version: container::VERSION,
         flags: prelude.flags,
         spec_hash: prelude.spec_hash,
         header_len: prelude.header_len,
         backend: Backend::from_id((prelude.flags >> 3) & 0b11),
         checkpointed,
-        file_len,
+        file_len: frames.file_len(),
         n_blocks: None,
         total_records: None,
         spans: Vec::new(),
     };
-    if !checkpointed {
-        return Ok(info);
+    if checkpointed {
+        let footer = frames.footer()?;
+        info.n_blocks = Some(footer.blocks.len());
+        info.total_records = Some(footer.total_records());
+        info.spans = spans_of(&footer);
     }
-    let footer = read_footer(reader, file_len, &None)?;
-    info.n_blocks = Some(footer.blocks.len());
-    info.total_records = Some(footer.total_records());
-    info.spans = spans_of(&footer);
     Ok(info)
 }
 
@@ -130,123 +127,72 @@ pub fn extract_range(
     range: std::ops::Range<u64>,
     tel: Option<&Recorder>,
 ) -> Result<Vec<u8>, StreamError> {
-    let counter = tel.map(|rec| rec.counter(SEEK_BYTES_READ));
-    let file_len = reader.seek(SeekFrom::End(0))?;
-    reader.seek(SeekFrom::Start(0))?;
-    let mut prelude_bytes = [0u8; PRELUDE_LEN];
-    reader.read_exact(&mut prelude_bytes).map_err(short_read)?;
-    if let Some(c) = &counter {
-        c.add(PRELUDE_LEN as u64);
-    }
-    let prelude = container::parse_prelude(&prelude_bytes)?;
-    let expected = spec_hash(spec);
-    if prelude.spec_hash != expected {
-        return Err(Error::SpecMismatch { expected, found: prelude.spec_hash }.into());
-    }
-    if prelude.header_len != spec.header_bytes() as usize {
-        return Err(Error::Corrupt("header length mismatch".into()).into());
-    }
-    let effective = options.with_flags(prelude.flags)?;
+    let mut frames =
+        FrameReader::seekable(reader, tel.map(|rec| rec.counter(SEEK_BYTES_READ)))?;
+    let effective = frames.open(spec, options, spec_hash(spec))?;
     if effective.checkpoint_blocks == 0 {
-        return Err(Error::Corrupt(
-            "container has no checkpoint footer; use a sequential decompress".into(),
-        )
-        .into());
+        let msg = "container has no checkpoint footer; use a sequential decompress";
+        return Err(StreamError::corrupt(msg));
     }
-
-    let footer = read_footer(reader, file_len, &counter)?;
+    let footer = frames.footer()?;
     let total = footer.total_records();
     if range.start > range.end || range.end > total {
-        return Err(Error::Corrupt(format!(
-            "record range {}..{} outside 0..{total}",
-            range.start, range.end
-        ))
-        .into());
+        return Err(StreamError::corrupt(format!("record range {range:?} outside 0..{total}")));
     }
     if range.start == range.end {
         return Ok(Vec::new());
     }
 
     // Per-block starting record indices, computed once.
-    let mut starts = Vec::with_capacity(footer.blocks.len() + 1);
-    let mut acc = 0u64;
-    for b in &footer.blocks {
-        starts.push(acc);
-        acc += u64::from(b.n_records);
-    }
-    starts.push(acc);
+    let ends = footer.blocks.iter().scan(0u64, |acc, b| {
+        *acc += u64::from(b.n_records);
+        Some(*acc)
+    });
+    let starts: Vec<u64> = std::iter::once(0).chain(ends).collect();
 
     // The latest checkpoint whose opening block starts at or before the
     // range: restore it and skip everything earlier.
     let opening =
         footer.checkpoints.iter().rev().find(|c| starts[c.block_index as usize] <= range.start);
     let first_block = opening.map_or(0, |c| c.block_index as usize);
-
-    let n_fields = spec.fields.len();
-    let mut codec = effective.backend.codec(options.level);
-    if let Some(rec) = tel {
-        codec.attach_probes(rec);
-    }
-    let mut replayer = Replayer::new(spec, &effective);
-    if let Some(ckpt) = opening {
-        let payload = read_frame(reader, file_len, ckpt.offset, CHECKPOINT_MARKER, &counter)?;
-        // Snapshot frames always use the format-fixed checkpoint codec,
-        // not the container backend packing the block segments.
-        let mut ckpt_codec = crate::codec::checkpoint_codec(options.level);
-        if let Some(rec) = tel {
-            ckpt_codec.attach_probes(rec);
+    let snapshot = match opening {
+        Some(c) => {
+            frames.seek(c.offset)?;
+            let Some(Frame::Checkpoint(_)) = frames.next()? else {
+                let msg = format!("expected a checkpoint frame at offset {}", c.offset);
+                return Err(StreamError::corrupt(msg));
+            };
+            Some(frames.payload()?)
         }
-        let snapshot =
-            ckpt_codec.decompress(&payload, replayer.snapshot_limit()).map_err(Error::Post)?;
-        replayer.restore_banks(&snapshot)?;
-    }
-
-    let mut out = Vec::new();
-    let mut codes: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    let mut values: Vec<Vec<u8>> = Vec::with_capacity(n_fields);
-    let record_len = spec.record_bytes() as usize;
-    for (bi, block) in footer.blocks.iter().enumerate().skip(first_block) {
-        if starts[bi] >= range.end {
-            break;
+        None => None,
+    };
+    // Each covering block is read where the footer puts it, so later
+    // checkpoint frames inside the range are never read.
+    let covering = footer.blocks.iter().enumerate().skip(first_block);
+    let blocks = covering.take_while(|&(bi, _)| starts[bi] < range.end).map(|(_, entry)| {
+        frames.seek(entry.offset)?;
+        match frames.next()? {
+            Some(Frame::Block(block))
+                if block.offset == entry.offset
+                    && block.n_records == entry.n_records as usize =>
+            {
+                Ok(block)
+            }
+            _ => Err(StreamError::corrupt(format!(
+                "block frame at offset {} does not match the footer",
+                entry.offset
+            ))),
         }
-        let n_records = block.n_records as usize;
-        let (marker_at, mut pos) = (block.offset, block.offset);
-        seek_to(reader, marker_at, file_len)?;
-        let mut head = [0u8; 5];
-        read_counted(reader, &mut head, &mut pos, file_len, &counter)?;
-        if head[0] != BLOCK_MARKER {
-            return Err(Error::Corrupt(format!(
-                "expected a block frame at offset {marker_at}"
-            ))
-            .into());
-        }
-        if u32::from_le_bytes([head[1], head[2], head[3], head[4]]) != block.n_records {
-            return Err(
-                Error::Corrupt("block record count does not match the footer".into()).into()
-            );
-        }
-        codes.clear();
-        values.clear();
-        for fi in 0..n_fields {
-            let width = replayer.widths()[fi];
-            let seg = read_segment(reader, &mut pos, file_len, &counter)?;
-            codes.push(codec.decompress(&seg, n_records).map_err(Error::Post)?);
-            let seg = read_segment(reader, &mut pos, file_len, &counter)?;
-            values.push(
-                codec.decompress(&seg, n_records.saturating_mul(width)).map_err(Error::Post)?,
-            );
-        }
-        replayer.replay_block(n_records, &mut codes, &mut values, &mut out, None)?;
-    }
+    });
+    let mut out = decode_span(spec, &effective, snapshot.as_deref(), blocks, tel)?;
 
     // `out` holds records from starts[first_block]; slice the request.
+    let record_len = spec.record_bytes() as usize;
     let skip = (range.start - starts[first_block]) as usize * record_len;
     let want = (range.end - range.start) as usize * record_len;
     if skip + want > out.len() {
-        return Err(Error::Corrupt(
-            "span replay yielded fewer records than the footer promised".into(),
-        )
-        .into());
+        let msg = "span replay yielded fewer records than the footer promised";
+        return Err(StreamError::corrupt(msg));
     }
     out.drain(..skip);
     out.truncate(want);
@@ -255,140 +201,13 @@ pub fn extract_range(
 
 /// Builds the span list a checkpointed container's footer describes.
 fn spans_of(footer: &container::Footer) -> Vec<SpanInfo> {
-    let mut spans = Vec::with_capacity(footer.checkpoints.len() + 1);
-    let mut first = 0u32;
-    let mut ckpt_offset = None;
-    let bounds = |first: u32, end: u32| {
-        (footer.start_record(first as usize), footer.start_record(end as usize))
-    };
-    for c in &footer.checkpoints {
-        let (start_record, end_record) = bounds(first, c.block_index);
-        spans.push(SpanInfo {
-            first_block: first,
-            end_block: c.block_index,
-            start_record,
-            end_record,
-            checkpoint_offset: ckpt_offset,
-        });
-        first = c.block_index;
-        ckpt_offset = Some(c.offset);
-    }
-    let end = footer.blocks.len() as u32;
-    let (start_record, end_record) = bounds(first, end);
-    spans.push(SpanInfo {
-        first_block: first,
-        end_block: end,
-        start_record,
-        end_record,
-        checkpoint_offset: ckpt_offset,
+    let mut opens = vec![(0u32, None)];
+    opens.extend(footer.checkpoints.iter().map(|c| (c.block_index, Some(c.offset))));
+    let ends = opens.iter().skip(1).map(|o| o.0).chain([footer.blocks.len() as u32]);
+    let spans = opens.iter().zip(ends).map(|(&(first_block, checkpoint_offset), end_block)| {
+        let start_record = footer.start_record(first_block as usize);
+        let end_record = footer.start_record(end_block as usize);
+        SpanInfo { first_block, end_block, start_record, end_record, checkpoint_offset }
     });
-    spans
-}
-
-/// Locates and parses the footer from the fixed 12-byte file tail.
-fn read_footer(
-    reader: &mut (impl Read + Seek),
-    file_len: u64,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<container::Footer, StreamError> {
-    let tail_len = FOOTER_TAIL_LEN as u64;
-    if file_len < PRELUDE_LEN as u64 + tail_len {
-        return Err(Error::Truncated.into());
-    }
-    reader.seek(SeekFrom::Start(file_len - tail_len))?;
-    let mut tail = [0u8; FOOTER_TAIL_LEN];
-    reader.read_exact(&mut tail).map_err(short_read)?;
-    let body_len = u64::from(u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]));
-    let footer_len = body_len + tail_len;
-    if footer_len > file_len - PRELUDE_LEN as u64 {
-        return Err(
-            Error::Corrupt("checkpoint footer: length field exceeds the file".into()).into()
-        );
-    }
-    reader.seek(SeekFrom::Start(file_len - footer_len))?;
-    let mut bytes = vec![0u8; footer_len as usize];
-    reader.read_exact(&mut bytes).map_err(short_read)?;
-    if let Some(c) = counter {
-        c.add(tail_len + footer_len);
-    }
-    Ok(container::parse_footer(&bytes)?)
-}
-
-/// Reads a length-prefixed frame (`marker u32 len payload`) at `offset`.
-fn read_frame(
-    reader: &mut (impl Read + Seek),
-    file_len: u64,
-    offset: u64,
-    marker: u8,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<Vec<u8>, StreamError> {
-    seek_to(reader, offset, file_len)?;
-    let mut pos = offset;
-    let mut head = [0u8; 5];
-    read_counted(reader, &mut head, &mut pos, file_len, counter)?;
-    if head[0] != marker {
-        return Err(Error::Corrupt(format!(
-            "expected frame marker {marker:#x} at offset {offset}, found {:#x}",
-            head[0]
-        ))
-        .into());
-    }
-    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
-    let mut payload = vec![0u8; len];
-    read_counted(reader, &mut payload, &mut pos, file_len, counter)?;
-    Ok(payload)
-}
-
-/// Reads one length-prefixed compressed segment at the current position.
-fn read_segment(
-    reader: &mut impl Read,
-    pos: &mut u64,
-    file_len: u64,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<Vec<u8>, StreamError> {
-    let mut len4 = [0u8; 4];
-    read_counted(reader, &mut len4, pos, file_len, counter)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    let mut seg = vec![0u8; len];
-    read_counted(reader, &mut seg, pos, file_len, counter)?;
-    Ok(seg)
-}
-
-/// `read_exact` that advances `pos`, rejects reads past `file_len`
-/// before allocating or touching the reader, and feeds the I/O counter.
-fn read_counted(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    pos: &mut u64,
-    file_len: u64,
-    counter: &Option<tcgen_telemetry::Counter>,
-) -> Result<(), StreamError> {
-    let len = buf.len() as u64;
-    if *pos + len > file_len {
-        return Err(Error::Truncated.into());
-    }
-    reader.read_exact(buf).map_err(short_read)?;
-    *pos += len;
-    if let Some(c) = counter {
-        c.add(len);
-    }
-    Ok(())
-}
-
-fn seek_to(reader: &mut impl Seek, offset: u64, file_len: u64) -> Result<(), StreamError> {
-    if offset >= file_len {
-        return Err(Error::Truncated.into());
-    }
-    reader.seek(SeekFrom::Start(offset))?;
-    Ok(())
-}
-
-/// Maps an unexpected-EOF from `read_exact` to the container-truncation
-/// error, leaving genuine I/O failures as such.
-fn short_read(e: std::io::Error) -> StreamError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        Error::Truncated.into()
-    } else {
-        StreamError::Io(e)
-    }
+    spans.collect()
 }

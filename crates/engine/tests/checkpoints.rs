@@ -3,11 +3,11 @@
 //! streaming parity, footer hardening (corruption, truncation, forged
 //! offsets), seekable range extraction with bounded I/O, and inspection.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read, Seek, SeekFrom};
 
 use tcgen_engine::{
-    compress_stream, decompress_stream, extract_range, inspect, Engine, EngineOptions, Error,
-    Recorder, StreamError, SEEK_BYTES_READ,
+    compress_stream, decompress_stream, extract_range, inspect, Backend, Engine, EngineOptions,
+    Error, Recorder, StreamError, SEEK_BYTES_READ,
 };
 use tcgen_spec::{parse, TraceSpec};
 
@@ -113,23 +113,56 @@ fn checkpointed_and_legacy_containers_decode_identically() {
     }
 }
 
-/// Streaming compression emits byte-identical checkpointed containers,
-/// and streaming decompression replays them (skipping the frames it
-/// doesn't need while verifying the footer).
+/// A reader that returns at most 7 bytes per `read`, so record, block and
+/// checkpoint boundaries all straddle reads. Seeks pass through.
+struct ShortReads<R>(R);
+
+impl<R: Read> Read for ShortReads<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(7);
+        self.0.read(&mut buf[..n])
+    }
+}
+
+impl<R: Seek> Seek for ShortReads<R> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.0.seek(pos)
+    }
+}
+
+/// Streaming compression emits byte-identical containers, checkpointed or
+/// not, for every backend and thread count — even fed 7 bytes per read —
+/// and every decode entry point (in-memory, streaming and, for
+/// checkpointed containers, a full-range seek) reads them back, skipping
+/// the checkpoint frames it doesn't need while verifying the footer.
 #[test]
 fn streaming_matches_in_memory_for_checkpointed_containers() {
     let raw = demo_trace(1_111);
-    for threads in [1usize, 4] {
-        let opts = options(3, threads, 1);
-        let in_memory = Engine::new(spec(), opts).compress(&raw).expect("compress");
-        let mut streamed = Vec::new();
-        compress_stream(&spec(), &opts, &mut raw.as_slice(), &mut streamed)
-            .expect("streamed compress");
-        assert_eq!(streamed, in_memory, "threads {threads}");
-        let mut restored = Vec::new();
-        decompress_stream(&spec(), &opts, &mut in_memory.as_slice(), &mut restored)
-            .expect("streamed decompress");
-        assert_eq!(restored, raw, "threads {threads}");
+    for backend in [Backend::Max, Backend::Fast] {
+        for interval in [0usize, 3] {
+            for threads in [1usize, 4] {
+                let opts = EngineOptions { backend, ..options(interval, threads, 1) };
+                let case = format!("{backend:?}, interval {interval}, threads {threads}");
+                let engine = Engine::new(spec(), opts);
+                let in_memory = engine.compress(&raw).expect("compress");
+                let mut streamed = Vec::new();
+                compress_stream(&spec(), &opts, &mut ShortReads(raw.as_slice()), &mut streamed)
+                    .expect("streamed compress");
+                assert_eq!(streamed, in_memory, "{case}");
+                assert_eq!(engine.decompress(&in_memory).expect("decompress"), raw, "{case}");
+                let mut restored = Vec::new();
+                let mut reader = ShortReads(in_memory.as_slice());
+                decompress_stream(&spec(), &opts, &mut reader, &mut restored)
+                    .expect("streamed decompress");
+                assert_eq!(restored, raw, "{case}");
+                if interval > 0 {
+                    let mut reader = ShortReads(Cursor::new(&in_memory));
+                    let records = extract_range(&spec(), &opts, &mut reader, 0..1_111, None)
+                        .expect("full-range extract");
+                    assert_eq!(records, raw[4..], "{case}");
+                }
+            }
+        }
     }
 }
 
