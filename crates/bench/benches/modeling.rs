@@ -1,12 +1,12 @@
 //! Criterion benchmark for the columnar modeling stage in isolation:
 //! predictor modeling (`raw_streams`) and replay (`replay_streams`)
-//! throughput in records per second at 1, 2, 4, and per-CPU model
-//! threads, on the paper's VPC3 specification (`specs/vpc3.tcgen`).
+//! throughput in records per second on the paper's VPC3 specification
+//! (`specs/vpc3.tcgen`).
 //!
 //! Unlike the `pipeline` benchmark this one excludes the blockzip
-//! post-compressor entirely, so it measures exactly the stage that
-//! `--model-threads` parallelizes. A second group sweeps the data
-//! field's width across 8/16/32/64 bits to expose the throughput of the
+//! post-compressor entirely, so it measures exactly the serial stage
+//! that runs on the calling thread while the pool packs blocks. A
+//! second group sweeps the data field's width across 8/16/32/64 bits to expose the throughput of the
 //! width-specialized table elements. Under `cargo bench` the trace is
 //! 2 M records; under `cargo test` (criterion's test mode) a small
 //! trace keeps the smoke run fast.
@@ -23,18 +23,6 @@ fn record_count() -> usize {
     } else {
         20_000
     }
-}
-
-fn model_thread_counts() -> Vec<usize> {
-    let per_cpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut counts = vec![1, 2, 4, per_cpu];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-fn options(model_threads: usize) -> EngineOptions {
-    EngineOptions { model_threads, ..EngineOptions::tcgen() }
 }
 
 /// A two-field spec whose data field is `bits` wide: the bank behind it
@@ -73,7 +61,7 @@ fn width_trace(spec: &tcgen_spec::TraceSpec, records: usize) -> Vec<u8> {
 /// bank does, which shows up directly as records per second.
 fn bench_widths(c: &mut Criterion) {
     let records = record_count();
-    let opts = options(1);
+    let opts = EngineOptions::tcgen();
     let mut group = c.benchmark_group("modeling/width");
     group.throughput(Throughput::Elements(records as u64));
     group.sample_size(10);
@@ -92,32 +80,18 @@ fn bench_modeling(c: &mut Criterion) {
     let program = suite().into_iter().find(|p| p.name == "gzip").expect("program exists");
     let records = record_count();
     let raw = generate_trace(&program, TraceKind::StoreAddress, records).to_bytes();
+    let opts = EngineOptions::tcgen();
 
-    let mut group = c.benchmark_group("modeling/model");
+    let mut group = c.benchmark_group("modeling");
     group.throughput(Throughput::Elements(records as u64));
     group.sample_size(10);
-    for model_threads in model_thread_counts() {
-        let opts = options(model_threads);
-        group.bench_with_input(BenchmarkId::from_parameter(model_threads), &raw, |b, raw| {
-            b.iter(|| codec::raw_streams(&spec, &opts, raw).expect("model"))
-        });
-    }
-    group.finish();
-
-    let streams = codec::raw_streams(&spec, &options(1), &raw).expect("model");
-    let mut group = c.benchmark_group("modeling/replay");
-    group.throughput(Throughput::Elements(records as u64));
-    group.sample_size(10);
-    for model_threads in model_thread_counts() {
-        let opts = options(model_threads);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(model_threads),
-            &streams,
-            |b, streams| {
-                b.iter(|| codec::replay_streams(&spec, &opts, streams.clone()).expect("replay"))
-            },
-        );
-    }
+    group.bench_function("model", |b| {
+        b.iter(|| codec::raw_streams(&spec, &opts, &raw).expect("model"))
+    });
+    let streams = codec::raw_streams(&spec, &opts, &raw).expect("model");
+    group.bench_function("replay", |b| {
+        b.iter(|| codec::replay_streams(&spec, &opts, streams.clone()).expect("replay"))
+    });
     group.finish();
 }
 

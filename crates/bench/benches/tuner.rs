@@ -1,6 +1,6 @@
 //! Criterion benchmark for the spec auto-tuner: wall time of a full
 //! `tune` run — sampling, the per-field beam search, and the full-trace
-//! guard — on the gzip store-address trace, at 1 and per-CPU model
+//! guard — on the gzip store-address trace, at 1 and per-CPU worker
 //! threads. Candidate evaluations fan out onto the engine's worker
 //! pool, so the thread sweep shows how far the search parallelizes;
 //! the emitted spec is identical at every count. Under `cargo bench`
@@ -20,12 +20,12 @@ fn record_count() -> usize {
     }
 }
 
-fn tuner_options(model_threads: usize) -> TunerOptions {
+fn tuner_options(threads: usize) -> TunerOptions {
     TunerOptions {
         sample_records: 32_768,
         budget_evals: 48,
         seed: 1,
-        engine: EngineOptions { model_threads, ..EngineOptions::tcgen() },
+        engine: EngineOptions { threads, ..EngineOptions::tcgen() },
         ..Default::default()
     }
 }

@@ -342,7 +342,8 @@ pub fn measure_profile_speed(records: usize, runs: usize) -> ProfileSpeed {
 pub struct CheckpointSpeedRow {
     /// Blocks per checkpoint (`0` = no checkpoints, the legacy layout).
     pub checkpoint_blocks: usize,
-    /// Worker threads (`threads` and `model_threads` together).
+    /// [`EngineOptions::threads`]: the workers packing and inflating
+    /// block segments.
     pub threads: usize,
     /// Compressed size in bytes, checkpoints and footer included.
     pub compressed: usize,
@@ -352,11 +353,13 @@ pub struct CheckpointSpeedRow {
     pub decompress_seconds: f64,
 }
 
-/// The checkpointed-container trade-off measurement: the same large
-/// gzip store-address trace compressed with and without checkpoints,
-/// decompressed serially and with a worker pool. Checkpoints cost
-/// container bytes and buy span-parallel decompression; both sides of
-/// the trade are informational — sizes here are never golden-pinned.
+/// The checkpointed-container cost measurement: the same large gzip
+/// store-address trace compressed with and without checkpoints, and
+/// decompressed with one and with four segment workers. Checkpoints
+/// cost container bytes and snapshot time and buy record-range seeks
+/// (`extract_range`); a whole-container decode replays sequentially
+/// either way. The rows are informational — sizes here are never
+/// golden-pinned.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpeed {
     /// Base record count handed to the trace generator.
@@ -376,13 +379,10 @@ pub struct CheckpointSpeed {
 /// each one's best. Losslessness is asserted on every pass by
 /// [`measure`].
 ///
-/// The checkpointed rows are informational, not a speedup claim: a
-/// TCGEN_A predictor-state snapshot is ~20 MB raw, so on a trace of
-/// this size (~29 MB) the per-span restore cost is of the same order
-/// as the replay it saves, and the rows mostly price that overhead.
-/// Checkpoints pay off when the payload between checkpoints is much
-/// larger than the predictor state — the interval here is chosen so a
-/// four-worker decode gets one span each, not for container economy.
+/// The checkpointed rows price the checkpoints: the compress side packs
+/// a snapshot every 8 blocks, and the decompress side walks past the
+/// checkpoint frames without inflating them, so its rows should track
+/// the sequential baseline at the same thread count.
 ///
 /// # Panics
 ///
@@ -403,7 +403,6 @@ pub fn measure_checkpoint_speed(records: usize, runs: usize) -> CheckpointSpeed 
                     block_records,
                     checkpoint_blocks,
                     threads,
-                    model_threads: threads,
                     ..EngineOptions::tcgen()
                 },
             )

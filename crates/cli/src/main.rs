@@ -3,8 +3,8 @@
 //! ```text
 //! tcgen generate <spec-file> [--lang c|rust]    emit compressor source
 //! tcgen canon <spec-file>                       print the canonical spec
-//! tcgen compress <spec-file> [in [out]] [--profile P] [--threads N] [--model-threads N] [--block-records N] [--checkpoint-blocks N]
-//! tcgen decompress <spec-file> [in [out]] [--threads N] [--model-threads N]
+//! tcgen compress <spec-file> [in [out]] [--profile P] [--threads N] [--block-records N] [--checkpoint-blocks N]
+//! tcgen decompress <spec-file> [in [out]] [--threads N]
 //! tcgen inspect <container> [--json]            dump a container's prelude and footer
 //! tcgen cat <spec-file> <container> [out] [--range A..B]   extract a record range
 //! tcgen trace <program> <kind> <records> [out]  generate a synthetic trace
@@ -69,27 +69,27 @@ fn run(args: &[String]) -> Result<(), String> {
 fn usage() -> String {
     "usage:\n  tcgen generate <spec-file> [--lang c|rust]\n  \
      tcgen canon <spec-file>\n  \
-     tcgen compress <spec-file> [input [output]] [--profile P] [--threads N] [--model-threads N] [--block-records N] [--checkpoint-blocks N]\n  \
-     tcgen decompress <spec-file> [input [output]] [--threads N] [--model-threads N]\n  \
+     tcgen compress <spec-file> [input [output]] [--profile P] [--threads N] [--block-records N] [--checkpoint-blocks N]\n  \
+     tcgen decompress <spec-file> [input [output]] [--threads N]\n  \
      tcgen inspect <container> [--json]\n  \
-     tcgen cat <spec-file> <container> [output] [--range A..B] [--threads N] [--model-threads N]\n  \
+     tcgen cat <spec-file> <container> [output] [--range A..B] [--threads N]\n  \
      tcgen trace <program> <store|miss|load> <records> [output]\n  \
      tcgen prune <spec-file> <trace-file> [threshold]\n  \
-     tcgen usage <spec-file> <trace-file> [--json [FILE]] [--threads N] [--model-threads N]\n  \
+     tcgen usage <spec-file> <trace-file> [--json [FILE]] [--threads N]\n  \
      tcgen tune <spec-file> <trace-file> [output-spec] [--sample-records N]\n\
      \x20          [--budget-evals N] [--seed N] [--json [FILE]] [--profile P]\n\
-     \x20          [--threads N] [--model-threads N]\n  \
+     \x20          [--threads N]\n  \
      tcgen serve --socket PATH|--stdio [--max-jobs N] [--max-cached-engines N]\n\
      \x20          [--metrics-addr HOST:PORT] [--slow-ms N]\n  \
      tcgen top --socket PATH [--interval MS] [--iterations N]\n  \
      tcgen client --socket PATH compress <spec-file> [input [output]]\n\
-     \x20          [--profile P] [--threads N] [--model-threads N]\n\
+     \x20          [--profile P] [--threads N]\n\
      \x20          [--block-records N] [--checkpoint-blocks N] [--priority N]\n  \
      tcgen client --socket PATH decompress <spec-file> [input [output]]\n\
-     \x20          [--threads N] [--model-threads N] [--priority N]\n  \
+     \x20          [--threads N] [--priority N]\n  \
      tcgen client --socket PATH inspect [container]\n  \
      tcgen client --socket PATH extract <spec-file> <container> [output] --range A..B\n\
-     \x20          [--threads N] [--model-threads N] [--priority N]\n  \
+     \x20          [--threads N] [--priority N]\n  \
      tcgen client --socket PATH stats\n  \
      tcgen client --socket PATH shutdown\n\
      \n\
@@ -98,16 +98,14 @@ fn usage() -> String {
      \x20                   (adaptive range coder). The chosen backend is\n\
      \x20                   recorded in the container, so decompress needs\n\
      \x20                   no flag — any build reads any profile\n\
-     --threads N        worker threads for block segments (0 = one per CPU,\n\
-     \x20                   1 = serial; output is identical for every N)\n\
-     --model-threads N  worker threads for per-field predictor modeling\n\
-     \x20                   (0 = one per CPU, 1 = serial; output is identical\n\
-     \x20                   for every N)\n\
+     --threads N        worker threads for block segments and tuner\n\
+     \x20                   candidates (0 = one per CPU, 1 = serial; output\n\
+     \x20                   is identical for every N)\n\
      --block-records N  records per compressed block (0 = whole trace)\n\
      --checkpoint-blocks N  write a predictor-state checkpoint every N blocks\n\
      \x20                   plus a seekable footer (0 = off, the default).\n\
-     \x20                   Checkpointed containers decompress in parallel\n\
-     \x20                   and support `tcgen cat --range`\n\
+     \x20                   Checkpointed containers support\n\
+     \x20                   `tcgen cat --range`\n\
      --range A..B       record range (absolute indices) for `cat`; the whole\n\
      \x20                   trace when omitted. Without a checkpoint footer,\n\
      \x20                   cat falls back to a sequential decompress\n\
@@ -244,10 +242,6 @@ fn codec(args: &[String], compressing: bool) -> Result<(), String> {
                 options.threads = parse_count(args.get(i + 1), "--threads")?;
                 i += 2;
             }
-            "--model-threads" => {
-                options.model_threads = parse_count(args.get(i + 1), "--model-threads")?;
-                i += 2;
-            }
             "--block-records" => {
                 options.block_records = parse_count(args.get(i + 1), "--block-records")?;
                 i += 2;
@@ -264,6 +258,9 @@ fn codec(args: &[String], compressing: bool) -> Result<(), String> {
             }
             "--stats" | "--stats-json" | "--trace-out" => {
                 i = stats.parse(args, i)?;
+            }
+            other if other.starts_with("--") => {
+                return Err(format!("unexpected argument '{other}'"));
             }
             _ => {
                 files.push(&args[i]);
@@ -418,10 +415,6 @@ fn cat(args: &[String]) -> Result<(), String> {
             }
             "--threads" => {
                 options.threads = parse_count(args.get(i + 1), "--threads")?;
-                i += 2;
-            }
-            "--model-threads" => {
-                options.model_threads = parse_count(args.get(i + 1), "--model-threads")?;
                 i += 2;
             }
             "--stats" | "--stats-json" | "--trace-out" => {
@@ -581,10 +574,6 @@ fn usage_report(args: &[String]) -> Result<(), String> {
                 options.threads = parse_count(args.get(i + 1), "--threads")?;
                 i += 2;
             }
-            "--model-threads" => {
-                options.model_threads = parse_count(args.get(i + 1), "--model-threads")?;
-                i += 2;
-            }
             "--json" => {
                 let (path, next) = parse_json_flag(args, i, "usage.json");
                 json = Some(path);
@@ -645,10 +634,6 @@ fn tune(args: &[String]) -> Result<(), String> {
             }
             "--threads" => {
                 options.engine.threads = parse_count(args.get(i + 1), "--threads")?;
-                i += 2;
-            }
-            "--model-threads" => {
-                options.engine.model_threads = parse_count(args.get(i + 1), "--model-threads")?;
                 i += 2;
             }
             "--json" => {
@@ -995,10 +980,6 @@ fn client_codec(socket: &str, args: &[String], compressing: bool) -> Result<(), 
                 request.threads = parse_count(args.get(i + 1), "--threads")? as u32;
                 i += 2;
             }
-            "--model-threads" => {
-                request.model_threads = parse_count(args.get(i + 1), "--model-threads")? as u32;
-                i += 2;
-            }
             "--block-records" if compressing => {
                 request.block_records = parse_count(args.get(i + 1), "--block-records")? as u32;
                 i += 2;
@@ -1013,6 +994,9 @@ fn client_codec(socket: &str, args: &[String], compressing: bool) -> Result<(), 
                     .try_into()
                     .map_err(|_| "--priority must fit in 0..=255".to_string())?;
                 i += 2;
+            }
+            other if other.starts_with("--") => {
+                return Err(format!("unexpected argument '{other}'"));
             }
             _ => {
                 files.push(&args[i]);
@@ -1049,15 +1033,14 @@ fn client_extract(socket: &str, args: &[String]) -> Result<(), String> {
                 request.threads = parse_count(args.get(i + 1), "--threads")? as u32;
                 i += 2;
             }
-            "--model-threads" => {
-                request.model_threads = parse_count(args.get(i + 1), "--model-threads")? as u32;
-                i += 2;
-            }
             "--priority" => {
                 request.priority = parse_count(args.get(i + 1), "--priority")?
                     .try_into()
                     .map_err(|_| "--priority must fit in 0..=255".to_string())?;
                 i += 2;
+            }
+            other if other.starts_with("--") => {
+                return Err(format!("unexpected argument '{other}'"));
             }
             arg => {
                 if out.is_some() {

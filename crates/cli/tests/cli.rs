@@ -198,6 +198,53 @@ fn unknown_command_fails_with_usage() {
     assert!(err.contains("usage:"), "{err}");
 }
 
+/// Unknown options are refused, never taken as file operands: a
+/// mistyped flag must not become the name of the output file, and a
+/// retired flag fails loudly instead of being ignored.
+#[test]
+fn unknown_options_fail_instead_of_naming_files() {
+    let dir = tempdir().join("unknown-options");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = write_spec(&dir);
+    let spec = spec.to_str().unwrap();
+    let status = tcgen()
+        .current_dir(&dir)
+        .args(["trace", "mcf", "store", "500", "t.trace"])
+        .status()
+        .expect("generate trace");
+    assert!(status.success());
+    let cases: [(&[&str], &str); 5] = [
+        (&["compress", spec, "t.trace", "--thread"], "--thread"),
+        (&["compress", spec, "t.trace", "t.tcgz", "--model-threads", "2"], "--model-threads"),
+        (&["decompress", spec, "t.tcgz", "t.out", "--model-threads", "2"], "--model-threads"),
+        (
+            &["client", "--socket", "none.sock", "compress", spec, "t.trace", "--thread"],
+            "--thread",
+        ),
+        (
+            &[
+                "client",
+                "--socket",
+                "none.sock",
+                "extract",
+                spec,
+                "t.tcgz",
+                "--range",
+                "0..9",
+                "--thread",
+            ],
+            "--thread",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = tcgen().current_dir(&dir).args(args).output().expect("run tcgen");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("unexpected argument '{flag}'")), "{args:?}: {err}");
+        assert!(!dir.join(flag).exists(), "{args:?} wrote a file named {flag}");
+    }
+}
+
 #[test]
 fn unknown_program_lists_choices() {
     let out = tcgen().args(["trace", "doom", "store", "100"]).output().expect("run");

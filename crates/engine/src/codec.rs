@@ -1,6 +1,6 @@
 //! The container codec: one block writer, one block decoder, and the
 //! entry points built on them and on the frame reader
-//! ([`crate::container::FrameReader`]).
+//! (`container::FrameReader`).
 //!
 //! Container layout (all integers little-endian):
 //!
@@ -16,45 +16,31 @@
 //! engine configuration can decompress any container (speed-only options
 //! do not change the streams).
 //!
-//! Each direction is one loop. [`BlockWriter`] takes trace records in
+//! Each direction is one loop. `BlockWriter` takes trace records in
 //! whatever pieces its caller has them — [`crate::Engine::compress`]
 //! passes its whole input slice, [`compress_stream`] the chunks it reads
 //! — and owns block splitting, the checkpoint decision, packing and the
 //! footer offsets, so the bytes cannot depend on the entry point.
-//! [`BlockDecoder`] inflates and replays the block frames the frame
-//! reader yields; sequential in-memory decode, [`decompress_stream`],
-//! every span job of the span-parallel decode and
+//! `BlockDecoder` inflates and replays the block frames the frame
+//! reader yields; the in-memory decode, [`decompress_stream`] and
 //! [`crate::extract_range`] all run it.
 //!
 //! ## Threading model
 //!
-//! Predictor modeling is serial *per field* — every record's prediction
-//! depends on the table state left by all earlier records of the same
-//! field — but the fields themselves are independent once each block is
-//! transposed into columns, and the post-compression of finished blocks
-//! is embarrassingly parallel. Two knobs exploit this:
+//! Blocks are the only fan-out. Modeling and replay are one serial chain
+//! — every record's prediction depends on the table state all earlier
+//! records left — so they run on the calling thread, field by field
+//! (`columnar`). Packing a finished block's `2 * n_fields` segments, and
+//! inflating them again, is independent work: [`EngineOptions::threads`]
+//! fans it out to the shared pool at most `2 * threads` blocks ahead of
+//! the serial stage, and the results come back in submission order, so
+//! the container is byte-identical for every thread count.
 //!
-//! * [`EngineOptions::model_threads`] fans the per-field column jobs of
-//!   the columnar modeling/replay stage ([`crate::columnar`]) out to a
-//!   worker pool.
-//! * [`EngineOptions::threads`] fans the `2 * n_fields` blockzip
-//!   segments of each finished block out to a second pool, assembling
-//!   results strictly in submission order, at most `2 * threads` blocks
-//!   ahead of the serial stage.
-//!
-//! Both pools hand results back deterministically, so the container is
-//! byte-identical for every setting of either knob. Decompression
-//! mirrors this: workers inflate segments a bounded number of blocks
-//! ahead, and the columnar replay stage reconstructs each block as its
-//! segments arrive.
-//!
-//! Checkpointed containers ([`EngineOptions::checkpoint_blocks`]) break
-//! the one remaining serial chain: every checkpoint frame carries a full
-//! predictor-state snapshot, so the blocks between two checkpoints form a
-//! *span* that replays independently of every other span. When a
-//! container has checkpoints and more than one thread is available,
-//! in-memory decompression fans one ordered replay job per span onto the
-//! pool — modeling itself, not just segment inflation, runs concurrently.
+//! Checkpoint frames ([`EngineOptions::checkpoint_blocks`]) are a seek
+//! index. [`crate::extract_range`] restores the snapshot that opens the
+//! span covering a record range and replays from there; a whole-container
+//! decode carries the predictor state through every checkpoint, so it
+//! checks their frames against the footer but never inflates one.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -62,10 +48,10 @@ use std::io::{Read, Write};
 use tcgen_spec::TraceSpec;
 use tcgen_telemetry::{driver_span, OpCounters, Recorder};
 
-use crate::columnar::{ModelPipe, Modeler, ReplayPipe, Replayer, COLUMN_CHUNK_RECORDS};
+use crate::columnar::{Modeler, Replayer, COLUMN_CHUNK_RECORDS};
 use crate::container::{
-    self, read_full, BlockFrame, CheckpointLayout, Footer, Frame, FrameReader, BLOCK_MARKER,
-    CHECKPOINT_MARKER, END_MARKER,
+    self, read_full, BlockFrame, Footer, Frame, FrameReader, BLOCK_MARKER, CHECKPOINT_MARKER,
+    END_MARKER,
 };
 use crate::options::EngineOptions;
 use crate::pool::{Pipeline, PoolTelemetry};
@@ -99,9 +85,7 @@ pub fn raw_streams(
     let header_len = whole_records(spec, raw)?;
     let mut modeler = Modeler::new(spec, options);
     let mut streams = BlockStreams::new(spec.fields.len());
-    let model_threads = options.effective_model_threads();
-    let model_pipe = (model_threads > 1).then(|| Modeler::pipe(model_threads, None));
-    modeler.model_chunk(&raw[header_len..], &mut streams, &mut None, model_pipe.as_ref())?;
+    modeler.model_chunk(&raw[header_len..], &mut streams, &mut None);
     Ok(streams.fields.into_iter().flat_map(|fs| [fs.codes, fs.values]).collect())
 }
 
@@ -133,14 +117,10 @@ pub fn replay_streams(
         return Err(Error::Corrupt(format!("{} streams for {n_fields} fields", streams.len())));
     }
     let mut pairs = streams.into_iter();
-    let (mut codes, mut values): (Vec<_>, Vec<_>) =
+    let (codes, values): (Vec<_>, Vec<_>) =
         std::iter::from_fn(|| Some((pairs.next()?, pairs.next()?))).unzip();
-    let n_records = codes[0].len();
-    let mut replayer = Replayer::new(spec, options);
-    let model_threads = options.effective_model_threads();
     let mut out = Vec::new();
-    let pipe = (model_threads > 1).then(|| Replayer::pipe(model_threads, None));
-    replayer.replay_block(n_records, &mut codes, &mut values, &mut out, pipe.as_ref())?;
+    Replayer::new(spec, options).replay_block(codes[0].len(), &codes, &values, &mut out)?;
     Ok(out)
 }
 
@@ -198,13 +178,12 @@ enum Pack {
 /// predictor state where a checkpoint falls due, packs every block
 /// inline or on the pack pool, and writes the frames and the footer to
 /// `out`. The bytes depend only on the records and the options, never on
-/// how the caller splits the records or on either thread count.
+/// how the caller splits the records or on the thread count.
 pub(crate) struct BlockWriter<'a, W: Write> {
     out: W,
     /// Bytes written so far: the container offset of the next frame.
     pos: u64,
     modeler: Modeler,
-    model_pipe: Option<ModelPipe>,
     streams: BlockStreams,
     pack: Pack,
     /// The block index; present exactly when the container is
@@ -238,8 +217,6 @@ impl<'a, W: Write> BlockWriter<'a, W> {
         tel: Option<&'a Recorder>,
     ) -> Result<Self, StreamError> {
         let threads = options.effective_threads();
-        let model_threads = options.effective_model_threads();
-        let model_pipe = (model_threads > 1).then(|| Modeler::pipe(model_threads, tel));
         let (backend, level) = (options.backend, options.level);
         let pack = if threads <= 1 {
             Pack::Inline(probed(backend.codec(level), tel))
@@ -263,7 +240,6 @@ impl<'a, W: Write> BlockWriter<'a, W> {
             out,
             pos: 0,
             modeler: Modeler::new(spec, options),
-            model_pipe,
             streams: BlockStreams::new(spec.fields.len()),
             pack,
             footer: checkpointed.then(Footer::default),
@@ -311,8 +287,7 @@ impl<'a, W: Write> BlockWriter<'a, W> {
                 records.split_at(room.min(records.len() / self.record_len) * self.record_len);
             {
                 let _s = driver_span(self.tel, "model.chunk");
-                let pipe = self.model_pipe.as_ref();
-                self.modeler.model_chunk(head, &mut self.streams, &mut self.usage, pipe)?;
+                self.modeler.model_chunk(head, &mut self.streams, &mut self.usage);
             }
             if self.streams.records == self.block_records {
                 self.close_block()?;
@@ -534,19 +509,16 @@ pub(crate) struct BlockDecoder<'a> {
     unpack: Unpack,
     /// Most blocks inflating at once, the one replaying included.
     ahead: usize,
-    replay_pipe: Option<ReplayPipe>,
-    /// Driver-track spans; off in span jobs and seeks.
+    /// Driver-track spans; off in seeks.
     tel: Option<&'a Recorder>,
 }
 
 impl<'a> BlockDecoder<'a> {
-    /// A decoder for the calling thread, sized by `options`' thread
-    /// knobs. `options` must carry the container's flags.
+    /// A decoder for the calling thread, sized by `options.threads`.
+    /// `options` must carry the container's flags.
     pub(crate) fn new(options: &EngineOptions, tel: Option<&'a Recorder>) -> Self {
         let (backend, level) = (options.backend, options.level);
         let threads = options.effective_threads();
-        let model_threads = options.effective_model_threads();
-        let replay_pipe = (model_threads > 1).then(|| Replayer::pipe(model_threads, tel));
         let (unpack, ahead) = if threads <= 1 {
             (Unpack::Inline(probed(backend.codec(level), tel)), 1)
         } else {
@@ -560,13 +532,13 @@ impl<'a> BlockDecoder<'a> {
             );
             (Unpack::Pool(pipe), 2 * threads)
         };
-        Self { unpack, ahead, replay_pipe, tel }
+        Self { unpack, ahead, tel }
     }
 
-    /// A single-threaded decoder for a span job or a seek: codec probes
-    /// but no driver spans.
+    /// A single-threaded decoder for a seek: codec probes but no driver
+    /// spans.
     fn inline(options: &EngineOptions, tel: Option<&'a Recorder>) -> Self {
-        let serial = EngineOptions { threads: 1, model_threads: 1, ..*options };
+        let serial = EngineOptions { threads: 1, ..*options };
         Self { tel: None, ..Self::new(&serial, tel) }
     }
 
@@ -617,8 +589,7 @@ impl<'a> BlockDecoder<'a> {
             }
             {
                 let _s = driver_span(self.tel, "replay.block");
-                let pipe = self.replay_pipe.as_ref();
-                replayer.replay_block(block.n_records, &mut codes, &mut values, out, pipe)?;
+                replayer.replay_block(block.n_records, &codes, &values, out)?;
             }
             emit(out)?;
         }
@@ -629,8 +600,7 @@ impl<'a> BlockDecoder<'a> {
 /// — none for span 0, which starts from fresh predictor state — then
 /// inflates and replays its blocks. Snapshots are opened with the
 /// format-fixed checkpoint codec, block segments with `options`' backend.
-/// The span jobs of [`decompress_slice`] and [`crate::extract_range`]
-/// both run this.
+/// [`crate::extract_range`] runs this on the span covering its range.
 pub(crate) fn decode_span(
     spec: &TraceSpec,
     options: &EngineOptions,
@@ -649,36 +619,14 @@ pub(crate) fn decode_span(
     Ok(out)
 }
 
-/// One independently replayable run of blocks, `blocks[first..end]`,
-/// preceded by the container range of the snapshot to restore (none for
-/// span 0, which starts from fresh predictor state).
-struct SpanJob {
-    first: usize,
-    end: usize,
-    snapshot: Option<(u64, usize)>,
-}
-
-/// Splits `n_blocks` into spans at the checkpoint boundaries.
-fn span_jobs(n_blocks: usize, checkpoints: &[CheckpointLayout]) -> Vec<SpanJob> {
-    let mut jobs = Vec::with_capacity(checkpoints.len() + 1);
-    let mut first = 0usize;
-    let mut snapshot = None;
-    for c in checkpoints {
-        jobs.push(SpanJob { first, end: c.block_index, snapshot });
-        first = c.block_index;
-        snapshot = Some(c.payload);
-    }
-    jobs.push(SpanJob { first, end: n_blocks, snapshot });
-    jobs
-}
-
 /// [`crate::Engine::decompress`]. The frame reader walks the whole
 /// container — every marker, record count and segment length checked
 /// against the input size, the footer checked against the frames — before
 /// any segment is inflated, which also fixes the decoded size, so the
-/// output is allocated exactly once. Checkpointed containers then decode
-/// one span job per span when more than one thread is available, and
-/// everything else runs the block decoder sequentially.
+/// output is allocated exactly once. The block decoder then replays the
+/// block frames in order; checkpoint frames are checked but never
+/// inflated, since sequential replay carries the predictor state through
+/// them.
 pub(crate) fn decompress_slice(engine: &Engine, packed: &[u8]) -> Result<Vec<u8>, Error> {
     let (spec, options, tel) = (&engine.spec, &engine.options, engine.telemetry.as_ref());
     let _op_span = driver_span(tel, "decompress");
@@ -688,11 +636,9 @@ pub(crate) fn decompress_slice(engine: &Engine, packed: &[u8]) -> Result<Vec<u8>
         let effective = frames.open(spec, options, engine.spec_hash)?;
         let header = frames.bytes(spec.header_bytes() as usize)?;
         let mut blocks = Vec::new();
-        let mut checkpoints = Vec::new();
         while let Some(frame) = frames.next()? {
-            match frame {
-                Frame::Block(block) => blocks.push(block),
-                Frame::Checkpoint(ckpt) => checkpoints.push(ckpt),
+            if let Frame::Block(block) = frame {
+                blocks.push(block);
             }
         }
         let records = frames.walked.total_records();
@@ -708,44 +654,9 @@ pub(crate) fn decompress_slice(engine: &Engine, packed: &[u8]) -> Result<Vec<u8>
             Error::Corrupt(format!("cannot allocate {out_len} bytes for the decoded trace"))
         })?;
         out.extend_from_slice(&header);
-        // Both knobs are resolved once per call: a `0` knob resolves to
-        // the available parallelism, which Linux reports from procfs and
-        // cgroup files, so the decoder below must not resolve it again.
-        let (threads, model_threads) =
-            (effective.effective_threads(), effective.effective_model_threads());
-        let effective = EngineOptions { threads, model_threads, ..effective };
-        let span_workers = threads.max(model_threads).min(checkpoints.len() + 1);
-        if span_workers <= 1 {
-            let mut replayer = Replayer::new(spec, &effective);
-            let blocks = blocks.into_iter().map(Ok);
-            BlockDecoder::new(&effective, tel)
-                .run(&mut replayer, blocks, &mut out, |_| Ok(()))?;
-        } else {
-            let jobs = span_jobs(blocks.len(), &checkpoints);
-            if let Some(rec) = tel {
-                rec.counter("decompress.spans").add(jobs.len() as u64);
-            }
-            let eff = &effective;
-            let pipe: Pipeline<'_, (Option<&[u8]>, Vec<BlockFrame>), _> =
-                Pipeline::start_instrumented(
-                    span_workers,
-                    PoolTelemetry::from(tel, "span", "replay.span"),
-                    || {
-                        move |(snapshot, blocks): (Option<&[u8]>, Vec<BlockFrame>)| {
-                            decode_span(spec, eff, snapshot, blocks.into_iter().map(Ok), tel)
-                        }
-                    },
-                );
-            let mut blocks = blocks.into_iter();
-            for job in &jobs {
-                let snapshot =
-                    job.snapshot.map(|(start, len)| &packed[start as usize..][..len]);
-                pipe.submit((snapshot, blocks.by_ref().take(job.end - job.first).collect()));
-            }
-            for _ in &jobs {
-                out.extend_from_slice(&pipe.next().map_err(|_| worker_panicked("replay"))??);
-            }
-        }
+        let mut replayer = Replayer::new(spec, &effective);
+        let blocks = blocks.into_iter().map(Ok);
+        BlockDecoder::new(&effective, tel).run(&mut replayer, blocks, &mut out, |_| Ok(()))?;
         if let Some(c) = &counters {
             c.bytes_in.add(packed.len() as u64);
             c.bytes_out.add(out.len() as u64);
@@ -800,7 +711,7 @@ pub fn decompress_stream_with_telemetry(
     let blocks = std::iter::from_fn(|| loop {
         let _s = driver_span(tel, "io.read");
         match frames.next().transpose()? {
-            Ok(Frame::Checkpoint(_)) => continue,
+            Ok(Frame::Checkpoint) => continue,
             Ok(Frame::Block(block)) => return Some(Ok(block)),
             Err(e) => return Some(Err(e)),
         }
@@ -957,56 +868,5 @@ mod tests {
         let mut restored = Vec::new();
         decompress_stream(&spec, &options, &mut packed.as_slice(), &mut restored).unwrap();
         assert_eq!(restored, raw);
-    }
-
-    fn ckpt(block_index: usize) -> CheckpointLayout {
-        CheckpointLayout { offset: 0, payload: (0, 0), block_index }
-    }
-
-    #[test]
-    fn span_jobs_split_at_checkpoint_boundaries() {
-        let jobs = span_jobs(10, &[ckpt(4), ckpt(8)]);
-        let bounds: Vec<(usize, usize, bool)> =
-            jobs.iter().map(|j| (j.first, j.end, j.snapshot.is_some())).collect();
-        assert_eq!(bounds, vec![(0, 4, false), (4, 8, true), (8, 10, true)]);
-        // Single checkpoint, trailing partial span.
-        let jobs = span_jobs(3, &[ckpt(2)]);
-        assert_eq!(jobs.len(), 2);
-        assert_eq!((jobs[1].first, jobs[1].end), (2, 3));
-        assert!(jobs[0].snapshot.is_none() && jobs[1].snapshot.is_some());
-    }
-
-    /// The span replay fan-out genuinely overlaps: six 100 ms span jobs
-    /// on three workers finish in well under the 600 ms a serial replay
-    /// would take. Sleeping (not spinning) keeps this meaningful on
-    /// single-CPU machines, where the decompress throughput target is
-    /// instead demonstrated by this overlap plus the bench numbers.
-    #[test]
-    fn span_pipeline_overlaps_spans() {
-        let start = std::time::Instant::now();
-        {
-            let pipe: Pipeline<'_, SpanJob, usize> =
-                Pipeline::start_instrumented(3, None, || {
-                    move |job: SpanJob| {
-                        std::thread::sleep(std::time::Duration::from_millis(100));
-                        job.end - job.first
-                    }
-                });
-            let jobs = span_jobs(12, &[ckpt(2), ckpt(4), ckpt(6), ckpt(8), ckpt(10)]);
-            let n = jobs.len();
-            for job in jobs {
-                pipe.submit(job);
-            }
-            let mut blocks = 0usize;
-            for _ in 0..n {
-                blocks += pipe.next().expect("span worker lives");
-            }
-            assert_eq!(blocks, 12);
-        }
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(450),
-            "six 100ms spans on three workers took {:?} — spans are not overlapping",
-            start.elapsed()
-        );
     }
 }

@@ -256,21 +256,13 @@ pub(crate) struct BlockFrame {
     pub(crate) segments: Vec<Vec<u8>>,
 }
 
-/// One checkpoint frame: the offset of its marker byte, the container
-/// range `(start, len)` of its packed snapshot, and the index of the
-/// block it precedes.
-pub(crate) struct CheckpointLayout {
-    pub(crate) offset: u64,
-    pub(crate) payload: (u64, usize),
-    pub(crate) block_index: usize,
-}
-
 /// A frame as [`FrameReader::next`] yields it.
 pub(crate) enum Frame {
     Block(BlockFrame),
-    /// The snapshot stays unread: [`FrameReader::payload`] reads it, and
-    /// the next frame read skips it.
-    Checkpoint(CheckpointLayout),
+    /// A checkpoint frame, indexed in [`FrameReader::walked`]. The
+    /// snapshot stays unread: [`FrameReader::payload`] reads it, and the
+    /// next frame read skips it.
+    Checkpoint,
 }
 
 /// The one reader of container frames, over any [`Read`]: the in-memory
@@ -380,14 +372,9 @@ impl<R: Read> FrameReader<R> {
             }
             CHECKPOINT_MARKER if self.checkpointed => {
                 let len = u32::from_le_bytes(self.array()?);
-                let ckpt = CheckpointLayout {
-                    offset,
-                    payload: (self.pos, len as usize),
-                    block_index: self.walked.blocks.len(),
-                };
-                self.walked.push_checkpoint(ckpt.block_index as u32, ckpt.offset);
+                self.walked.push_checkpoint(self.walked.blocks.len() as u32, offset);
                 self.unread = u64::from(len);
-                Ok(Some(Frame::Checkpoint(ckpt)))
+                Ok(Some(Frame::Checkpoint))
             }
             other => Err(StreamError::corrupt(format!("unexpected block marker {other:#x}"))),
         }

@@ -3,7 +3,7 @@
 //! The tuner's unit of work is "how many post-compressed bytes would
 //! this field cost under that predictor configuration?". Because a
 //! field's streams depend only on its own value column and the PC
-//! column (see [`crate::columnar`]), candidates can be scored in
+//! column (see the `columnar` module), candidates can be scored in
 //! isolation: model the column once per candidate, post-compress the
 //! resulting code and miss-value streams, and report the sizes. That is
 //! exactly the engine's own modeling path — [`tcgen_predictors::FieldBank::model_column`]
@@ -11,9 +11,8 @@
 //! candidates the way full-container sizes would.
 //!
 //! Candidates fan out onto the ordered worker pool under
-//! [`crate::EngineOptions::model_threads`]; results come back in
-//! submission order, so scores are byte-identical for every thread
-//! count.
+//! [`crate::EngineOptions::threads`]; results come back in submission
+//! order, so scores are byte-identical for every thread count.
 
 use std::sync::Arc;
 
@@ -99,8 +98,8 @@ fn evaluate(
 ///
 /// Every candidate starts from freshly zeroed tables, and results are
 /// collected in candidate order regardless of
-/// [`EngineOptions::model_threads`], so a given `(candidates, sample)`
-/// pair always scores identically.
+/// [`EngineOptions::threads`], so a given `(candidates, sample)` pair
+/// always scores identically.
 ///
 /// # Panics
 ///
@@ -133,7 +132,7 @@ pub fn score_candidates_with_telemetry(
         .iter()
         .map(|f| EvalJob { field: f.clone(), pcs: Arc::clone(pcs), values: Arc::clone(values) })
         .collect();
-    let threads = options.effective_model_threads().min(jobs.len().max(1));
+    let threads = options.effective_threads().min(jobs.len().max(1));
     if threads <= 1 {
         let mut codec = options.backend.codec(options.level);
         return jobs
@@ -190,8 +189,8 @@ mod tests {
     #[test]
     fn scores_are_thread_count_independent() {
         let (pcs, values) = sample();
-        let one = EngineOptions { model_threads: 1, ..EngineOptions::tcgen() };
-        let four = EngineOptions { model_threads: 4, ..EngineOptions::tcgen() };
+        let one = EngineOptions { threads: 1, ..EngineOptions::tcgen() };
+        let four = EngineOptions { threads: 4, ..EngineOptions::tcgen() };
         let a = score_candidates(&candidates(), &pcs, &values, &one).unwrap();
         let b = score_candidates(&candidates(), &pcs, &values, &four).unwrap();
         assert_eq!(a, b);

@@ -18,16 +18,17 @@ pub struct EngineOptions {
     /// Records per block; streams are post-compressed per block. `0`
     /// means the whole trace forms a single block.
     pub block_records: usize,
-    /// Worker threads for post-compressing and decoding block segments.
-    /// `0` means one thread per available CPU, `1` selects the serial
-    /// path. The compressed container is byte-identical for every thread
-    /// count, so this is a speed-only option and not part of the flags.
+    /// Worker threads, the engine's only worker knob: they pack and
+    /// inflate block segments, and score the tuner's candidates. `0`
+    /// means one thread per available CPU, `1` does everything on the
+    /// calling thread. Modeling and replay always run on the calling
+    /// thread. The compressed container is byte-identical for every
+    /// thread count, so this is a speed-only option and not part of the
+    /// flags.
     pub threads: usize,
-    /// Worker threads for the columnar modeling/replay stage: per-field
-    /// column jobs are fanned out to this many workers. `0` means one
-    /// thread per available CPU, `1` runs the jobs inline. Like
-    /// [`Self::threads`], speed-only: the container is byte-identical
-    /// for every setting, so it is not part of the flags.
+    /// Ignored: modeling and replay run on the calling thread, and
+    /// [`Self::threads`] is the only worker knob.
+    #[deprecated(note = "ignored; `threads` is the only worker knob")]
     pub model_threads: usize,
     /// Post-compressor block-size level.
     pub level: blockzip::Level,
@@ -48,6 +49,7 @@ pub struct EngineOptions {
 impl EngineOptions {
     /// TCgen with all optimizations enabled (the paper's default, the
     /// "full optimizations" row of Table 2).
+    #[allow(deprecated)]
     pub fn tcgen() -> Self {
         Self {
             predictor: PredictorOptions::default(),
@@ -147,16 +149,6 @@ impl EngineOptions {
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
         } else {
             self.threads
-        }
-    }
-
-    /// The modeling worker count with `0` normalized to the available
-    /// parallelism (falling back to 1 when it cannot be determined).
-    pub fn effective_model_threads(&self) -> usize {
-        if self.model_threads == 0 {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        } else {
-            self.model_threads
         }
     }
 
@@ -305,30 +297,18 @@ mod tests {
 
     #[test]
     fn zero_values_normalize() {
-        let opts = EngineOptions {
-            block_records: 0,
-            threads: 0,
-            model_threads: 0,
-            ..EngineOptions::tcgen()
-        };
+        let opts = EngineOptions { block_records: 0, threads: 0, ..EngineOptions::tcgen() };
         assert_eq!(opts.effective_block_records(), usize::MAX);
         assert!(opts.effective_threads() >= 1);
-        assert!(opts.effective_model_threads() >= 1);
-        let opts = EngineOptions {
-            block_records: 7,
-            threads: 3,
-            model_threads: 5,
-            ..EngineOptions::tcgen()
-        };
+        let opts = EngineOptions { block_records: 7, threads: 3, ..EngineOptions::tcgen() };
         assert_eq!(opts.effective_block_records(), 7);
         assert_eq!(opts.effective_threads(), 3);
-        assert_eq!(opts.effective_model_threads(), 5);
     }
 
     #[test]
     fn threads_and_block_size_stay_out_of_flags() {
         let base = EngineOptions::tcgen();
-        let tuned = EngineOptions { threads: 8, model_threads: 4, block_records: 123, ..base };
+        let tuned = EngineOptions { threads: 8, block_records: 123, ..base };
         assert_eq!(tuned.flags(), base.flags());
     }
 }

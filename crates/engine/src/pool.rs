@@ -72,7 +72,7 @@ thread_local! {
     static JOB_PRIORITY: Cell<u8> = const { Cell::new(0) };
 }
 
-/// Runs `f` with every [`Pipeline`] started on this thread registering
+/// Runs `f` with every `Pipeline` started on this thread registering
 /// its pool job at `priority` (higher is scheduled first; the default is
 /// 0). Restores the previous priority on exit, including on unwind.
 pub fn with_job_priority<R>(priority: u8, f: impl FnOnce() -> R) -> R {

@@ -3,12 +3,12 @@
 //! record range by reading only the footer plus the spans that cover it.
 //!
 //! Both entry points work over `Read + Seek` through the container's one
-//! frame reader ([`crate::container::FrameReader`]), so a multi-gigabyte
+//! frame reader (`container::FrameReader`), so a multi-gigabyte
 //! container on disk costs three reads for [`inspect`] (prelude, footer
 //! tail, footer body) and, for [`extract_range`], additionally the
 //! covering checkpoint frame and block frames — never the whole file.
 //! The covering span decodes through the same block decoder as a full
-//! decompression ([`crate::codec::decode_span`]).
+//! decompression (`codec::decode_span`).
 
 use std::io::{Read, Seek};
 
@@ -158,7 +158,7 @@ pub fn extract_range(
     let snapshot = match opening {
         Some(c) => {
             frames.seek(c.offset)?;
-            let Some(Frame::Checkpoint(_)) = frames.next()? else {
+            let Some(Frame::Checkpoint) = frames.next()? else {
                 let msg = format!("expected a checkpoint frame at offset {}", c.offset);
                 return Err(StreamError::corrupt(msg));
             };

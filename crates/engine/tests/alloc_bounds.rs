@@ -71,7 +71,6 @@ fn forged_lengths_fail_every_decode_entry_point_without_large_allocations() {
         block_records: 100,
         checkpoint_blocks: 3,
         threads: 1,
-        model_threads: 1,
         ..EngineOptions::tcgen()
     };
     let packed = Engine::new(spec.clone(), compressor).compress(&raw).expect("compress");
@@ -91,7 +90,7 @@ fn forged_lengths_fail_every_decode_entry_point_without_large_allocations() {
         let mut forged = packed.clone();
         forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         for threads in [1usize, 4] {
-            let options = EngineOptions { threads, model_threads: threads, ..compressor };
+            let options = EngineOptions { threads, ..compressor };
             LARGEST.store(0, Ordering::Relaxed);
             let engine = Engine::new(spec.clone(), options);
             let results = [

@@ -20,32 +20,21 @@ fn demo_trace(records: usize) -> Vec<u8> {
     raw
 }
 
-fn options(
-    backend: Backend,
-    block_records: usize,
-    threads: usize,
-    model: usize,
-) -> EngineOptions {
-    EngineOptions {
-        backend,
-        block_records,
-        threads,
-        model_threads: model,
-        ..EngineOptions::tcgen()
-    }
+fn options(backend: Backend, block_records: usize, threads: usize) -> EngineOptions {
+    EngineOptions { backend, block_records, threads, ..EngineOptions::tcgen() }
 }
 
-/// The tentpole matrix: every backend × (threads, model_threads) ×
-/// block_records round-trips losslessly, produces identical bytes at
-/// every thread count, and stamps its id into the flags byte.
+/// The tentpole matrix: every backend × threads × block_records
+/// round-trips losslessly, produces identical bytes at every thread
+/// count, and stamps its id into the flags byte.
 #[test]
 fn every_profile_roundtrips_across_the_thread_matrix() {
     let raw = demo_trace(2_000);
     for backend in Backend::ALL {
         for block_records in [256usize, 701, 0] {
             let mut baseline: Option<Vec<u8>> = None;
-            for (threads, model_threads) in [(1usize, 1usize), (1, 3), (3, 1), (4, 2)] {
-                let opts = options(backend, block_records, threads, model_threads);
+            for threads in [1usize, 3, 4] {
+                let opts = options(backend, block_records, threads);
                 let engine = Engine::new(spec(), opts);
                 let packed = engine.compress(&raw).expect("compress");
                 // Byte 5 is the flags byte; bits 3-4 carry the backend id.
@@ -59,7 +48,7 @@ fn every_profile_roundtrips_across_the_thread_matrix() {
                     None => baseline = Some(packed),
                     Some(b) => assert_eq!(
                         &packed, b,
-                        "{backend:?} differs at threads {threads}/{model_threads}, \
+                        "{backend:?} differs at threads {threads}, \
                          block_records {block_records}"
                     ),
                 }
@@ -75,14 +64,14 @@ fn every_profile_roundtrips_across_the_thread_matrix() {
 fn any_configuration_decompresses_any_profile() {
     let raw = demo_trace(800);
     for writer in Backend::ALL {
-        let opts = options(writer, 300, 2, 1);
+        let opts = options(writer, 300, 2);
         let packed = Engine::new(spec(), opts).compress(&raw).expect("compress");
         let mut streamed = Vec::new();
         compress_stream(&spec(), &opts, &mut raw.as_slice(), &mut streamed)
             .expect("streamed compress");
         assert_eq!(streamed, packed, "{writer:?}: streaming and in-memory containers differ");
         for reader in Backend::ALL {
-            let reader_opts = options(reader, 300, 2, 1);
+            let reader_opts = options(reader, 300, 2);
             let engine = Engine::new(spec(), reader_opts);
             assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
             let mut restored = Vec::new();
@@ -100,7 +89,7 @@ fn any_configuration_decompresses_any_profile() {
 fn mismatched_backend_bits_fail_cleanly() {
     let raw = demo_trace(500);
     for backend in Backend::ALL {
-        let opts = options(backend, 0, 1, 1);
+        let opts = options(backend, 0, 1);
         let engine = Engine::new(spec(), opts);
         let packed = engine.compress(&raw).expect("compress");
         for wrong in Backend::ALL {
@@ -149,7 +138,7 @@ fn forged_checkpoint_flag_rejected() {
 fn truncated_containers_fail_for_every_profile() {
     let raw = demo_trace(400);
     for backend in Backend::ALL {
-        let opts = options(backend, 150, 1, 1);
+        let opts = options(backend, 150, 1);
         let engine = Engine::new(spec(), opts);
         let packed = engine.compress(&raw).expect("compress");
         for cut in [3usize, 11, 17, packed.len() / 2, packed.len() - 1] {
@@ -166,7 +155,7 @@ fn truncated_containers_fail_for_every_profile() {
 fn empty_trace_roundtrips_under_every_profile() {
     let raw = vec![1, 2, 3, 4];
     for backend in Backend::ALL {
-        let engine = Engine::new(spec(), options(backend, 0, 1, 1));
+        let engine = Engine::new(spec(), options(backend, 0, 1));
         let packed = engine.compress(&raw).expect("compress");
         assert_eq!(engine.decompress(&packed).expect("decompress"), raw, "{backend:?}");
     }
@@ -179,7 +168,7 @@ fn empty_trace_roundtrips_under_every_profile() {
 fn profiles_order_by_ratio_on_structured_data() {
     let raw = demo_trace(20_000);
     let size = |backend| {
-        Engine::new(spec(), options(backend, 0, 1, 1)).compress(&raw).expect("compress").len()
+        Engine::new(spec(), options(backend, 0, 1)).compress(&raw).expect("compress").len()
     };
     let (max, balanced, fast) =
         (size(Backend::Max), size(Backend::Balanced), size(Backend::Fast));
@@ -202,14 +191,14 @@ fn tuner_scoring_respects_the_backend() {
     let values: Arc<Vec<u64>> = Arc::new((0..3_000u64).map(|i| 0x9000 + i * 8).collect());
     let mut sizes = Vec::new();
     for backend in Backend::ALL {
-        let opts = options(backend, 0, 1, 1);
+        let opts = options(backend, 0, 1);
         let serial =
             tcgen_engine::score_candidates(&candidates, &pcs, &values, &opts).expect("score");
         let threaded = tcgen_engine::score_candidates(
             &candidates,
             &pcs,
             &values,
-            &EngineOptions { model_threads: 4, ..opts },
+            &EngineOptions { threads: 4, ..opts },
         )
         .expect("score threaded");
         assert_eq!(serial, threaded, "{backend:?} scores depend on thread count");

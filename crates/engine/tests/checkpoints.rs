@@ -35,14 +35,8 @@ fn demo_trace(records: usize) -> Vec<u8> {
     raw
 }
 
-fn options(checkpoint_blocks: usize, threads: usize, model: usize) -> EngineOptions {
-    EngineOptions {
-        checkpoint_blocks,
-        block_records: 100,
-        threads,
-        model_threads: model,
-        ..EngineOptions::tcgen()
-    }
+fn options(checkpoint_blocks: usize, threads: usize) -> EngineOptions {
+    EngineOptions { checkpoint_blocks, block_records: 100, threads, ..EngineOptions::tcgen() }
 }
 
 /// Locates the footer region (everything after the end marker) from the
@@ -75,20 +69,20 @@ fn checkpointed_roundtrip_across_interval_and_thread_matrix() {
     let raw = demo_trace(1_200); // 12 blocks of 100
     for interval in [1usize, 4, 5, 50] {
         let mut baseline: Option<Vec<u8>> = None;
-        for (threads, model) in [(1usize, 1usize), (1, 3), (4, 1), (4, 2)] {
-            let engine = Engine::new(spec(), options(interval, threads, model));
+        for threads in [1usize, 4] {
+            let engine = Engine::new(spec(), options(interval, threads));
             let packed = engine.compress(&raw).expect("compress");
             assert_ne!(packed[5] & 0b0010_0000, 0, "checkpoint flag set");
             assert_eq!(
                 engine.decompress(&packed).expect("decompress"),
                 raw,
-                "interval {interval}, threads {threads}/{model}"
+                "interval {interval}, threads {threads}"
             );
             match &baseline {
                 None => baseline = Some(packed),
                 Some(b) => assert_eq!(
                     &packed, b,
-                    "interval {interval} bytes differ at threads {threads}/{model}"
+                    "interval {interval} bytes differ at threads {threads}"
                 ),
             }
         }
@@ -101,12 +95,12 @@ fn checkpointed_roundtrip_across_interval_and_thread_matrix() {
 #[test]
 fn checkpointed_and_legacy_containers_decode_identically() {
     let raw = demo_trace(800);
-    let checkpointed = Engine::new(spec(), options(2, 1, 1)).compress(&raw).expect("compress");
-    let legacy = Engine::new(spec(), options(0, 1, 1)).compress(&raw).expect("compress");
+    let checkpointed = Engine::new(spec(), options(2, 1)).compress(&raw).expect("compress");
+    let legacy = Engine::new(spec(), options(0, 1)).compress(&raw).expect("compress");
     assert_ne!(checkpointed, legacy, "checkpointing must change the container");
-    for (threads, model) in [(1usize, 1usize), (4, 2)] {
+    for threads in [1usize, 4] {
         for reader_interval in [0usize, 2, 7] {
-            let engine = Engine::new(spec(), options(reader_interval, threads, model));
+            let engine = Engine::new(spec(), options(reader_interval, threads));
             assert_eq!(engine.decompress(&checkpointed).expect("ckpt decode"), raw);
             assert_eq!(engine.decompress(&legacy).expect("legacy decode"), raw);
         }
@@ -141,7 +135,7 @@ fn streaming_matches_in_memory_for_checkpointed_containers() {
     for backend in [Backend::Max, Backend::Fast] {
         for interval in [0usize, 3] {
             for threads in [1usize, 4] {
-                let opts = EngineOptions { backend, ..options(interval, threads, 1) };
+                let opts = EngineOptions { backend, ..options(interval, threads) };
                 let case = format!("{backend:?}, interval {interval}, threads {threads}");
                 let engine = Engine::new(spec(), opts);
                 let in_memory = engine.compress(&raw).expect("compress");
@@ -171,7 +165,7 @@ fn streaming_matches_in_memory_for_checkpointed_containers() {
 #[test]
 fn corrupt_or_truncated_footers_rejected() {
     let raw = demo_trace(400);
-    let opts = options(1, 1, 1);
+    let opts = options(1, 1);
     let engine = Engine::new(spec(), opts);
     let packed = engine.compress(&raw).expect("compress");
     let start = footer_start(&packed);
@@ -196,7 +190,7 @@ fn corrupt_or_truncated_footers_rejected() {
 #[test]
 fn forged_checkpoint_offset_rejected() {
     let raw = demo_trace(600); // 6 blocks, checkpoints before blocks 2 and 4
-    let opts = options(2, 1, 1);
+    let opts = options(2, 1);
     let engine = Engine::new(spec(), opts);
     let packed = engine.compress(&raw).expect("compress");
     let start = footer_start(&packed);
@@ -229,7 +223,7 @@ fn forged_checkpoint_offset_rejected() {
 #[test]
 fn extract_range_matches_full_decode_and_bounds_io() {
     let raw = demo_trace(1_600); // 16 blocks of 100, checkpoints every 4
-    let opts = options(4, 1, 1);
+    let opts = options(4, 1);
     let engine = Engine::new(spec(), opts);
     let packed = engine.compress(&raw).expect("compress");
     let record_len = spec().record_bytes() as usize;
@@ -270,7 +264,7 @@ fn extract_range_matches_full_decode_and_bounds_io() {
 #[test]
 fn extract_range_requires_a_checkpointed_container() {
     let raw = demo_trace(500);
-    let opts = options(0, 1, 1);
+    let opts = options(0, 1);
     let packed = Engine::new(spec(), opts).compress(&raw).expect("compress");
     let err = extract_range(&spec(), &opts, &mut Cursor::new(&packed), 0..10, None)
         .expect_err("no footer must fail");
@@ -287,7 +281,7 @@ fn extract_range_requires_a_checkpointed_container() {
 #[test]
 fn inspect_reports_spans_and_record_ranges() {
     let raw = demo_trace(1_200); // 12 blocks, checkpoints before 5 and 10
-    let opts = options(5, 1, 1);
+    let opts = options(5, 1);
     let packed = Engine::new(spec(), opts).compress(&raw).expect("compress");
     let info = inspect(&mut Cursor::new(&packed)).expect("inspect");
     assert_eq!(info.version, 1);
@@ -305,55 +299,34 @@ fn inspect_reports_spans_and_record_ranges() {
     assert!(info.spans[1].checkpoint_offset.is_some());
 
     // Legacy containers inspect too, just without a footer.
-    let legacy = Engine::new(spec(), options(0, 1, 1)).compress(&raw).expect("compress");
+    let legacy = Engine::new(spec(), options(0, 1)).compress(&raw).expect("compress");
     let info = inspect(&mut Cursor::new(&legacy)).expect("inspect legacy");
     assert!(!info.checkpointed);
     assert_eq!(info.n_blocks, None);
     assert!(info.spans.is_empty());
 }
 
-/// The parallel span path reports how many spans it fanned out, so this
-/// (with the pool-overlap unit test) demonstrates span concurrency even
-/// on machines where wall-clock comparisons are meaningless.
+/// A whole-container decode is sequential at every thread count: the
+/// block decoder replays all 16 blocks on the calling thread, carrying
+/// the predictor state through both checkpoints, and no span is fanned
+/// out. The unpack pool is the only fan-out left.
 #[test]
-fn multithreaded_decompress_takes_the_span_path() {
-    let raw = demo_trace(1_200);
-    let packed = Engine::new(spec(), options(4, 1, 1)).compress(&raw).expect("compress");
-    let rec = Recorder::new();
-    let spans = rec.counter("decompress.spans");
-    let engine = Engine::new(spec(), options(0, 4, 1)).with_telemetry(rec);
-    assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
-    assert_eq!(spans.get(), 3, "12 blocks at interval 4 fan out as 3 spans");
-
-    // Single-threaded decode replays sequentially: no span fan-out.
-    let rec = Recorder::new();
-    let spans = rec.counter("decompress.spans");
-    let engine = Engine::new(spec(), options(0, 1, 1)).with_telemetry(rec);
-    assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
-    assert_eq!(spans.get(), 0, "serial decode must not fan out spans");
-}
-
-/// Snapshot restore rides inside the span pool jobs, never on the
-/// driver: every span — including the snapshot-restoring later ones —
-/// is one `replay.span` worker job, and the pool fans out to more than
-/// one worker. Combined with `span_pipeline_overlaps_spans` (which
-/// proves the pool genuinely overlaps jobs), this pins that restoring a
-/// checkpoint cannot serialize the span fan-out, the failure mode
-/// behind the interval-8, 4-thread decompress regression.
-#[test]
-fn span_restore_rides_inside_concurrent_pool_jobs() {
+fn checkpointed_containers_decode_sequentially_at_every_thread_count() {
     let raw = demo_trace(1_600); // 16 blocks of 100, checkpoints every 8
-    let packed = Engine::new(spec(), options(8, 1, 1)).compress(&raw).expect("compress");
-    let rec = Recorder::new();
-    let engine = Engine::new(spec(), options(0, 4, 1)).with_telemetry(rec.clone());
-    assert_eq!(engine.decompress(&packed).expect("decompress"), raw);
-    let report = rec.report();
-    let stage = report.stage("replay.span").expect("span jobs recorded");
-    assert_eq!(stage.count, 2, "both spans replay as pool jobs");
-    let pool = report.pools.iter().find(|p| p.label == "span").expect("span pool present");
-    assert!(pool.workers > 1, "span pool must fan out, got {} worker", pool.workers);
-    assert_eq!(pool.completed, 2, "every span job completed on the pool");
-    // No other stage times a snapshot restore: the worker-job path is
-    // the only restore path, so nothing restores on the driver thread.
-    assert!(report.stage("checkpoint.unpack").is_none());
+    let packed = Engine::new(spec(), options(8, 1)).compress(&raw).expect("compress");
+    let mut streamed = Vec::new();
+    decompress_stream(&spec(), &options(0, 1), &mut packed.as_slice(), &mut streamed)
+        .expect("streamed decompress");
+    for threads in [1usize, 4] {
+        let rec = Recorder::new();
+        let engine = Engine::new(spec(), options(0, threads)).with_telemetry(rec.clone());
+        let decoded = engine.decompress(&packed).expect("decompress");
+        assert_eq!(decoded, raw, "threads {threads}");
+        assert_eq!(decoded, streamed, "threads {threads}: in-memory and streamed differ");
+        let report = rec.report();
+        let replayed = report.stage("replay.block").map(|s| s.count);
+        assert_eq!(replayed, Some(16), "threads {threads}: every block replays in order");
+        assert!(report.stage("replay.span").is_none(), "threads {threads}: span jobs ran");
+        assert!(report.pools.iter().all(|p| p.label != "span"), "threads {threads}: span pool");
+    }
 }

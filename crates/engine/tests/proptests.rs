@@ -269,15 +269,10 @@ proptest! {
         }
         let body = &raw[header..];
         let reference = reference_streams(&spec, &options, body);
-        for model_threads in [1usize, 3] {
-            let opts = EngineOptions { model_threads, ..options };
-            let streams = codec::raw_streams(&spec, &opts, raw).unwrap();
-            prop_assert_eq!(&streams, &reference,
-                            "streams diverge at model_threads {}", model_threads);
-            let replayed = codec::replay_streams(&spec, &opts, streams).unwrap();
-            prop_assert_eq!(&replayed[..], body,
-                            "replay diverges at model_threads {}", model_threads);
-        }
+        let streams = codec::raw_streams(&spec, &options, raw).unwrap();
+        prop_assert_eq!(&streams, &reference, "streams diverge");
+        let replayed = codec::replay_streams(&spec, &options, streams).unwrap();
+        prop_assert_eq!(&replayed[..], body, "replay diverges");
     }
 
     /// The pipelined (planned) replay schedule and the straight one-pass

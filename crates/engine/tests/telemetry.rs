@@ -22,23 +22,20 @@ fn demo_trace(records: usize) -> Vec<u8> {
     raw
 }
 
-fn engine(block_records: usize, threads: usize, model_threads: usize) -> Engine {
-    Engine::new(
-        spec(),
-        EngineOptions { block_records, threads, model_threads, ..EngineOptions::tcgen() },
-    )
+fn engine(block_records: usize, threads: usize) -> Engine {
+    Engine::new(spec(), EngineOptions { block_records, threads, ..EngineOptions::tcgen() })
 }
 
 /// The tentpole invariant: telemetry is passive. For a matrix of
-/// (threads, model_threads, block_records) settings, the container with
+/// (threads, block_records) settings, the container with
 /// a recorder attached is byte-identical to the one without, and
 /// decompression under observation restores the identical trace.
 #[test]
 fn recorder_never_changes_container_bytes() {
     let raw = demo_trace(2_000);
     for block_records in [1usize, 64, 701, 0] {
-        for (threads, model_threads) in [(1, 1), (1, 3), (3, 1), (4, 2)] {
-            let plain = engine(block_records, threads, model_threads);
+        for threads in [1, 3, 4] {
+            let plain = engine(block_records, threads);
             let baseline = plain.compress(&raw).expect("compress");
 
             let rec = Recorder::new();
@@ -47,13 +44,13 @@ fn recorder_never_changes_container_bytes() {
             assert_eq!(
                 packed, baseline,
                 "telemetry changed the container: block_records {block_records}, \
-                 threads {threads}, model_threads {model_threads}"
+                 threads {threads}"
             );
             assert_eq!(
                 observed.decompress(&packed).expect("observed decompress"),
                 raw,
                 "observed roundtrip failed: block_records {block_records}, \
-                 threads {threads}, model_threads {model_threads}"
+                 threads {threads}"
             );
             // And the recorder actually saw the work it watched.
             let report = rec.report();
@@ -69,12 +66,7 @@ fn recorder_never_changes_container_bytes() {
 #[test]
 fn streaming_recorder_matches_in_memory_bytes() {
     let raw = demo_trace(1_500);
-    let options = EngineOptions {
-        block_records: 256,
-        threads: 3,
-        model_threads: 2,
-        ..EngineOptions::tcgen()
-    };
+    let options = EngineOptions { block_records: 256, threads: 3, ..EngineOptions::tcgen() };
     let baseline = Engine::new(spec(), options).compress(&raw).expect("in-memory compress");
 
     let rec = Recorder::new();
@@ -113,7 +105,7 @@ fn streaming_recorder_matches_in_memory_bytes() {
 fn json_report_is_valid_and_complete() {
     let raw = demo_trace(1_200);
     let rec = Recorder::new();
-    let observed = engine(128, 3, 2).with_telemetry(rec.clone());
+    let observed = engine(128, 3).with_telemetry(rec.clone());
     let packed = observed.compress(&raw).expect("compress");
     observed.decompress(&packed).expect("decompress");
 
@@ -152,7 +144,7 @@ fn chrome_trace_has_one_track_per_worker() {
     let threads = 3;
     let raw = demo_trace(1_000);
     let rec = Recorder::new();
-    let observed = engine(128, threads, 1).with_telemetry(rec.clone());
+    let observed = engine(128, threads).with_telemetry(rec.clone());
     let packed = observed.compress(&raw).expect("compress");
     observed.decompress(&packed).expect("decompress");
 
@@ -187,7 +179,7 @@ fn chrome_trace_has_one_track_per_worker() {
 #[test]
 fn engine_without_recorder_stays_unobserved() {
     let raw = demo_trace(500);
-    let plain = engine(128, 2, 1);
+    let plain = engine(128, 2);
     assert!(plain.telemetry().is_none());
     let packed = plain.compress(&raw).expect("compress");
     assert_eq!(plain.decompress(&packed).expect("decompress"), raw);

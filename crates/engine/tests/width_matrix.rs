@@ -2,8 +2,8 @@
 //!
 //! Drives specifications with 1/2/4/8-byte fields (plus a sub-byte-width
 //! 12-bit field) through compress → decompress and `raw_streams` →
-//! `replay_streams` across every (threads, model_threads, block_records)
-//! setting, pinning the containers to golden md5 digests captured from
+//! `replay_streams` across every (threads, block_records) setting,
+//! pinning the containers to golden md5 digests captured from
 //! the engine *before* predictor tables became width-specialized. The
 //! narrowed table elements must not change a single stream byte — only
 //! their in-memory footprint, which the `UsageReport` table-byte
@@ -112,16 +112,14 @@ fn trace_for(spec: &TraceSpec, records: usize) -> Vec<u8> {
     raw
 }
 
-fn options(threads: usize, model_threads: usize, block_records: usize) -> EngineOptions {
-    EngineOptions { threads, model_threads, block_records, ..EngineOptions::tcgen() }
+fn options(threads: usize, block_records: usize) -> EngineOptions {
+    EngineOptions { threads, block_records, ..EngineOptions::tcgen() }
 }
 
-fn thread_matrix() -> Vec<(usize, usize)> {
-    vec![(1, 1), (1, 2), (2, 1), (2, 2), (4, 4)]
-}
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Containers must match the seed goldens byte-for-byte at every
-/// (threads, model_threads, block_records) setting: width-specialized
+/// (threads, block_records) setting: width-specialized
 /// tables and recycled stream buffers are speed-only.
 #[test]
 fn containers_match_seed_goldens_across_thread_matrix() {
@@ -131,21 +129,19 @@ fn containers_match_seed_goldens_across_thread_matrix() {
         for (golden, block_records) in
             [(case.golden_whole, 0usize), (case.golden_blocked, 4096)]
         {
-            for (threads, model_threads) in thread_matrix() {
-                let engine =
-                    Engine::new(spec.clone(), options(threads, model_threads, block_records));
+            for threads in THREADS {
+                let engine = Engine::new(spec.clone(), options(threads, block_records));
                 let packed = engine.compress(&raw).unwrap();
                 assert_eq!(
                     md5::hex(&packed),
                     golden,
-                    "{} threads={threads} model_threads={model_threads} \
-                     block_records={block_records}",
+                    "{} threads={threads} block_records={block_records}",
                     case.name
                 );
                 assert_eq!(
                     engine.decompress(&packed).unwrap(),
                     raw,
-                    "{} roundtrip threads={threads} model_threads={model_threads}",
+                    "{} roundtrip threads={threads}",
                     case.name
                 );
             }
@@ -161,19 +157,12 @@ fn raw_streams_match_seed_goldens_and_replay() {
         let spec = tcgen_spec::parse(case.src).unwrap();
         let raw = trace_for(&spec, case.records);
         let header_len = spec.header_bytes() as usize;
-        for model_threads in [1usize, 4] {
-            let opts = options(1, model_threads, 0);
-            let streams = codec::raw_streams(&spec, &opts, &raw).unwrap();
-            let flat: Vec<u8> = streams.concat();
-            assert_eq!(
-                md5::hex(&flat),
-                case.golden_streams,
-                "{} model_threads={model_threads}",
-                case.name
-            );
-            let body = codec::replay_streams(&spec, &opts, streams).unwrap();
-            assert_eq!(body, &raw[header_len..], "{} stream replay", case.name);
-        }
+        let opts = options(1, 0);
+        let streams = codec::raw_streams(&spec, &opts, &raw).unwrap();
+        let flat: Vec<u8> = streams.concat();
+        assert_eq!(md5::hex(&flat), case.golden_streams, "{}", case.name);
+        let body = codec::replay_streams(&spec, &opts, streams).unwrap();
+        assert_eq!(body, &raw[header_len..], "{} stream replay", case.name);
     }
 }
 
@@ -191,27 +180,21 @@ fn subbyte_field_roundtrips_with_masked_arithmetic() {
     assert_eq!(spec.fields[1].bytes(), 2);
     let raw = trace_for(&spec, 30_000);
     let header_len = spec.header_bytes() as usize;
-    for (threads, model_threads) in thread_matrix() {
+    for threads in THREADS {
         for block_records in [0usize, 4096] {
-            let engine =
-                Engine::new(spec.clone(), options(threads, model_threads, block_records));
+            let engine = Engine::new(spec.clone(), options(threads, block_records));
             let packed = engine.compress(&raw).unwrap();
             if block_records == 0 {
-                assert_eq!(
-                    md5::hex(&packed),
-                    GOLDEN_SUBBYTE_WHOLE,
-                    "threads={threads} model_threads={model_threads}"
-                );
+                assert_eq!(md5::hex(&packed), GOLDEN_SUBBYTE_WHOLE, "threads={threads}");
             }
             assert_eq!(
                 engine.decompress(&packed).unwrap(),
                 raw,
-                "roundtrip threads={threads} model_threads={model_threads} \
-                 block_records={block_records}"
+                "roundtrip threads={threads} block_records={block_records}"
             );
         }
     }
-    let opts = options(1, 1, 0);
+    let opts = options(1, 0);
     let streams = codec::raw_streams(&spec, &opts, &raw).unwrap();
     let body = codec::replay_streams(&spec, &opts, streams).unwrap();
     assert_eq!(body, &raw[header_len..]);

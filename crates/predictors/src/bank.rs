@@ -5,8 +5,8 @@
 //! Storage is width-specialized (paper §4): [`FieldBank`] is an enum over
 //! [`TypedBank`] instantiations whose element type is the narrowest
 //! unsigned integer covering the field's declared bit width, picked once
-//! at construction. Every hot loop ([`TypedBank::model_column`],
-//! [`TypedBank::replay_column`]) is monomorphized over that element, so
+//! at construction. Every hot loop (`TypedBank::model_column`,
+//! `TypedBank::replay_column`) is monomorphized over that element, so
 //! the inner loops run without per-value widening or double masking; the
 //! enum is dispatched once per column job, not per record. See
 //! [`crate::element`] for the masking argument that makes the narrowing

@@ -10,7 +10,7 @@
 //!
 //! The key is the *source text* of the spec plus the option fields that
 //! are recorded in or affect the container: backend profile, thread
-//! counts, block size, and checkpoint interval. Two requests that differ
+//! count, block size, and checkpoint interval. Two requests that differ
 //! in any of these get distinct engines; two that agree share one, and
 //! byte-identity of the engine's output across thread counts means a
 //! cache hit can never change a result.
@@ -30,8 +30,6 @@ pub struct EngineKey {
     pub profile: u8,
     /// Block-segment worker threads (0 = engine default).
     pub threads: u32,
-    /// Modeling worker threads (0 = engine default).
-    pub model_threads: u32,
     /// Records per block (0 = engine default).
     pub block_records: u32,
     /// Checkpoint interval in blocks (0 = none).
@@ -50,9 +48,6 @@ impl EngineKey {
             .ok_or_else(|| format!("unknown profile id {}", self.profile))?;
         if self.threads != 0 {
             options.threads = self.threads as usize;
-        }
-        if self.model_threads != 0 {
-            options.model_threads = self.model_threads as usize;
         }
         if self.block_records != 0 {
             options.block_records = self.block_records as usize;
@@ -148,7 +143,6 @@ mod tests {
             spec: spec.into(),
             profile: 0,
             threads: 1,
-            model_threads: 1,
             block_records: 0,
             checkpoint_blocks: 0,
         }
@@ -160,14 +154,12 @@ mod tests {
             spec: SPEC_A.into(),
             profile: 0,
             threads: 0,
-            model_threads: 0,
             block_records: 0,
             checkpoint_blocks: 0,
         };
         let options = zeroed.options().unwrap();
         let defaults = EngineOptions::tcgen();
         assert_eq!(options.threads, defaults.threads);
-        assert_eq!(options.model_threads, defaults.model_threads);
         assert_eq!(options.block_records, defaults.block_records);
         assert_eq!(options.checkpoint_blocks, defaults.checkpoint_blocks);
         assert_ne!(

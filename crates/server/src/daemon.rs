@@ -98,7 +98,7 @@ impl Daemon {
     /// A daemon with a fresh telemetry recorder and engine cache. A
     /// background sampler thread (holding only a [`Weak`] reference, so
     /// it dies with the daemon) feeds the recorder's rolling-window
-    /// ring every [`SAMPLE_INTERVAL`].
+    /// ring every `SAMPLE_INTERVAL`.
     pub fn new(options: &ServeOptions) -> Arc<Self> {
         let recorder = Recorder::new();
         let serve_track = recorder.track("serve");
@@ -225,6 +225,13 @@ impl Daemon {
         limits.accepted -= 1;
         self.job_stats.on_complete();
         drop(limits);
+        self.changed.notify_all();
+    }
+
+    /// Releases the accepted count of a job that never ran, and so never
+    /// took a slot; wakes a draining shutdown.
+    fn abandon_job(&self) {
+        self.limits.lock().expect("no thread panics holding the limits lock").accepted -= 1;
         self.changed.notify_all();
     }
 
@@ -503,7 +510,7 @@ fn spawn_job(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u32, pending: Open
         });
     });
     if spawned.is_err() {
-        daemon.finish_job();
+        daemon.abandon_job();
         send_error(writer, id, "internal error: could not spawn a job thread");
     }
 }
@@ -566,4 +573,28 @@ fn send_error(writer: &SharedWriter, id: u32, msg: &str) {
     let mut w = writer.lock().unwrap();
     let _ = write_frame(&mut *w, frame_type::RSP_ERR, id, msg.as_bytes());
     let _ = w.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job whose thread could not be spawned gives back its accepted
+    /// count and nothing else: the counts read zero, and the next job
+    /// gets the only slot at once.
+    #[test]
+    fn an_unspawned_job_releases_only_its_accepted_count() {
+        let daemon = Daemon::new(&ServeOptions { max_jobs: 1, ..ServeOptions::default() });
+        assert!(daemon.try_accept_job());
+        daemon.abandon_job();
+        assert_eq!(daemon.running_jobs(), 0);
+        assert_eq!(daemon.queue_depth(), 0);
+
+        assert!(daemon.try_accept_job());
+        daemon.acquire_slot();
+        assert_eq!(daemon.running_jobs(), 1);
+        assert_eq!(daemon.recorder().counter("serve.backpressure_waits").get(), 0);
+        daemon.finish_job();
+        assert_eq!((daemon.running_jobs(), daemon.queue_depth()), (0, 0));
+    }
 }

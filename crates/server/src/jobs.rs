@@ -40,7 +40,6 @@ pub fn run_job(
                 spec: req.spec.clone(),
                 profile: req.profile,
                 threads: req.threads,
-                model_threads: req.model_threads,
                 block_records: req.block_records,
                 checkpoint_blocks: req.checkpoint_blocks,
             };
@@ -120,7 +119,6 @@ mod tests {
         let raw = trace(500);
         let mut req = JobRequest::new(JobKind::Compress, SPEC);
         req.threads = 1;
-        req.model_threads = 1;
         let packed = run_job(&req, &raw, &cache, None).unwrap();
         req.kind = JobKind::Decompress;
         let back = run_job(&req, &packed, &cache, None).unwrap();
@@ -133,7 +131,6 @@ mod tests {
         let raw = trace(600);
         let mut req = JobRequest::new(JobKind::Compress, SPEC);
         req.threads = 1;
-        req.model_threads = 1;
         req.block_records = 100;
         req.checkpoint_blocks = 2;
         let packed = run_job(&req, &raw, &cache, None).unwrap();

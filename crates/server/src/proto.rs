@@ -28,8 +28,10 @@
 
 use std::io::{self, Read, Write};
 
-/// Protocol version stamped into (and required of) every frame.
-pub const PROTO_VERSION: u8 = 1;
+/// Protocol version stamped into (and required of) every frame. It
+/// changes whenever a payload layout does, so the version check refuses
+/// a peer that speaks another layout.
+pub const PROTO_VERSION: u8 = 2;
 
 /// Header bytes after the length prefix: version, type, request id, CRC.
 pub const HEADER_TAIL: usize = 10;
@@ -137,8 +139,6 @@ pub struct JobRequest {
     pub profile: u8,
     /// Worker threads for block segments (0 = engine default).
     pub threads: u32,
-    /// Worker threads for per-field modeling (0 = engine default).
-    pub model_threads: u32,
     /// Records per block (0 = engine default).
     pub block_records: u32,
     /// Checkpoint interval in blocks (0 = none).
@@ -153,8 +153,7 @@ pub struct JobRequest {
     /// End-to-end request trace id (0 = none). Minted by the client,
     /// stamped into every span the job records on the daemon, and
     /// echoed in slow-request and failure log lines. Carried on the
-    /// wire as an optional extension, so a zero id encodes exactly as
-    /// the previous protocol revision did.
+    /// wire as an optional extension, so a zero id adds no bytes.
     pub trace_id: u64,
 }
 
@@ -166,7 +165,6 @@ impl JobRequest {
             priority: 0,
             profile: 0,
             threads: 0,
-            model_threads: 0,
             block_records: 0,
             checkpoint_blocks: 0,
             range_start: 0,
@@ -178,7 +176,7 @@ impl JobRequest {
 }
 
 /// Fixed-size prefix of an encoded [`JobRequest`], before the spec text.
-const OPEN_FIXED: usize = 4 + 4 * 4 + 2 * 8 + 4;
+const OPEN_FIXED: usize = 4 + 3 * 4 + 2 * 8 + 4;
 
 /// Extension-flag bit: an 8-byte LE trace id follows the spec text.
 const EXT_TRACE_ID: u8 = 0x01;
@@ -338,7 +336,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcom
 /// Encodes a [`JobRequest`] as a `REQ_OPEN` payload. The former
 /// reserved byte at offset 3 is an extension-flags field: bit 0 says an
 /// 8-byte trace id trails the spec text. A request without a trace id
-/// sets no flags and encodes byte-for-byte as protocol revision 1 did.
+/// sets no flags and carries no trailer.
 pub fn encode_open(req: &JobRequest) -> Vec<u8> {
     let ext = if req.trace_id != 0 { EXT_TRACE_ID } else { 0 };
     let mut out = Vec::with_capacity(OPEN_FIXED + req.spec.len() + 8);
@@ -347,7 +345,6 @@ pub fn encode_open(req: &JobRequest) -> Vec<u8> {
     out.push(req.profile);
     out.push(ext);
     out.extend_from_slice(&req.threads.to_le_bytes());
-    out.extend_from_slice(&req.model_threads.to_le_bytes());
     out.extend_from_slice(&req.block_records.to_le_bytes());
     out.extend_from_slice(&req.checkpoint_blocks.to_le_bytes());
     out.extend_from_slice(&req.range_start.to_le_bytes());
@@ -381,7 +378,7 @@ pub fn decode_open(payload: &[u8]) -> Result<JobRequest, ProtoError> {
     let trailer = if ext & EXT_TRACE_ID != 0 { 8 } else { 0 };
     let u32_at = |off: usize| u32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
     let u64_at = |off: usize| u64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-    let spec_len = u32_at(36) as usize;
+    let spec_len = u32_at(32) as usize;
     if payload.len() - OPEN_FIXED != spec_len + trailer {
         return Err(ProtoError::Malformed(format!(
             "REQ_OPEN declares a {spec_len}-byte spec (+{trailer} extension) but carries {}",
@@ -398,11 +395,10 @@ pub fn decode_open(payload: &[u8]) -> Result<JobRequest, ProtoError> {
         priority: payload[1],
         profile: payload[2],
         threads: u32_at(4),
-        model_threads: u32_at(8),
-        block_records: u32_at(12),
-        checkpoint_blocks: u32_at(16),
-        range_start: u64_at(20),
-        range_end: u64_at(28),
+        block_records: u32_at(8),
+        checkpoint_blocks: u32_at(12),
+        range_start: u64_at(16),
+        range_end: u64_at(24),
         spec,
         trace_id,
     })
@@ -491,7 +487,6 @@ mod tests {
         req.priority = 5;
         req.profile = 2;
         req.threads = 3;
-        req.model_threads = 2;
         req.block_records = 1024;
         req.checkpoint_blocks = 4;
         req.range_start = 100;
@@ -535,7 +530,7 @@ mod tests {
     #[test]
     fn open_payloads_with_lying_spec_lengths_are_rejected() {
         let mut payload = encode_open(&JobRequest::new(JobKind::Compress, "spec text"));
-        payload[36..40].copy_from_slice(&2u32.to_le_bytes());
+        payload[32..36].copy_from_slice(&2u32.to_le_bytes());
         let err = decode_open(&payload).unwrap_err();
         assert!(matches!(&err, ProtoError::Malformed(m) if m.contains("declares")), "{err}");
         let err = decode_open(&[0u8; 8]).unwrap_err();

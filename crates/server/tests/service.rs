@@ -68,7 +68,6 @@ fn served_results_are_byte_identical_to_direct_engine_calls() {
             for checkpoint_blocks in [0u32, 2] {
                 let mut req = JobRequest::new(JobKind::Compress, SPEC);
                 req.threads = threads;
-                req.model_threads = threads;
                 req.profile = profile;
                 req.block_records = 100;
                 req.checkpoint_blocks = checkpoint_blocks;
@@ -76,7 +75,6 @@ fn served_results_are_byte_identical_to_direct_engine_calls() {
                 let mut options = tcgen_engine::EngineOptions::tcgen();
                 options.backend = tcgen_engine::Backend::from_id(profile).unwrap();
                 options.threads = threads as usize;
-                options.model_threads = threads as usize;
                 options.block_records = 100;
                 options.checkpoint_blocks = checkpoint_blocks as usize;
                 let engine = tcgen_engine::Engine::new(spec.clone(), options);
@@ -278,7 +276,6 @@ fn engine_cache_hits_misses_and_evictions_show_in_stats() {
     let mut client = Client::connect(&path).unwrap();
     let mut req = JobRequest::new(JobKind::Compress, SPEC);
     req.threads = 1;
-    req.model_threads = 1;
 
     client.run(&req, &raw).unwrap(); // miss: first build
     client.run(&req, &raw).unwrap(); // hit
@@ -340,15 +337,14 @@ fn trace_ids_propagate_to_every_span_and_the_slow_log_fires_exactly_once() {
     let raw = trace(300);
     let mut req = JobRequest::new(JobKind::Compress, SPEC);
     req.threads = 2;
-    req.model_threads = 2;
     req.block_records = 100;
     req.trace_id = 0xA11C_E000_0000_0042;
     let mut client = Client::connect(&path).unwrap();
     client.run(&req, &raw).unwrap();
 
     // Every span of the job's lifecycle — admission wait, the serve
-    // span, the engine's driver span, and the pool workers' model/pack
-    // spans — carries the client-minted trace id.
+    // span, the engine's driver span, and the pool workers' pack spans —
+    // carries the client-minted trace id.
     let spans = daemon.recorder().spans();
     let traced: Vec<&str> =
         spans.iter().filter(|s| s.trace == req.trace_id).map(|s| s.name).collect();
@@ -500,7 +496,6 @@ fn metrics_endpoint_exposes_live_job_metrics_over_http() {
     let mut client = Client::connect(&path).unwrap();
     let mut req = JobRequest::new(JobKind::Compress, SPEC);
     req.threads = 1;
-    req.model_threads = 1;
     client.run(&req, &raw).unwrap();
     client.run(&req, &raw).unwrap(); // second run hits the engine cache
     client.run(&JobRequest::new(JobKind::DebugPanic, ""), b"").unwrap_err();

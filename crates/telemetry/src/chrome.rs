@@ -1,4 +1,4 @@
-//! Chrome trace-event export: renders a [`Recorder`](crate::Recorder)
+//! Chrome trace-event export: renders a [`Recorder`]
 //! as the JSON object format understood by `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev). Each telemetry track becomes one
 //! named thread row (`tid` = track id) under a single process, so pool

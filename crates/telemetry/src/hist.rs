@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const SUB_BITS: u32 = 3;
 const SUB: usize = 1 << SUB_BITS;
 
-/// Total bucket count for the full `u64` range at [`SUB_BITS`] precision.
+/// Total bucket count for the full `u64` range at `SUB_BITS` precision.
 pub const N_BUCKETS: usize = {
     // Highest index: msb = 63, sub = SUB - 1.
     ((63 - SUB_BITS as usize + 1) << SUB_BITS) + (SUB - 1) + 1

@@ -12,7 +12,7 @@
 //! * **Spans** — `(track, stage, start, duration)` intervals recorded by
 //!   [`Recorder::span`] guards. A *track* is one lane of execution (the
 //!   driver thread, or one pool worker); a *stage* is a static name from
-//!   the span taxonomy (`compress`, `model.field`, `pack.segment`, …).
+//!   the span taxonomy (`compress`, `model.chunk`, `pack.segment`, …).
 //!   Spans are pushed under a mutex, but only at block/job boundaries —
 //!   never inside per-record loops — so contention is bounded by block
 //!   count, not record count.
@@ -512,7 +512,7 @@ mod tests {
             });
         });
         assert_eq!(current_trace_id(), 0, "outermost scope restored to none");
-        rec.time(TrackId::DRIVER, "model.field", || {});
+        rec.time(TrackId::DRIVER, "model.chunk", || {});
         let spans = rec.spans();
         assert_eq!(spans[0].name, "pack.segment");
         assert_eq!(spans[0].trace, 0xBEEF);

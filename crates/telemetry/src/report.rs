@@ -1,4 +1,4 @@
-//! Aggregated summary of a [`Recorder`](crate::Recorder): per-stage
+//! Aggregated summary of a [`Recorder`]: per-stage
 //! statistics, per-track busy time, counters, and pool fan-out, with a
 //! human `Display` table and a machine-readable JSON form.
 

@@ -168,8 +168,7 @@ impl TuneOutcome {
 ///
 /// Deterministic: the same `(base, raw, options)` triple — including
 /// [`TunerOptions::seed`] — produces a byte-identical
-/// [`TuneOutcome::tuned`] at any [`EngineOptions::threads`] /
-/// [`EngineOptions::model_threads`] setting.
+/// [`TuneOutcome::tuned`] at any [`EngineOptions::threads`] setting.
 ///
 /// # Errors
 ///

@@ -29,7 +29,7 @@ fn tuning_is_deterministic_across_runs_and_thread_counts() {
     assert_eq!(a.tuned_container_bytes, b.tuned_container_bytes);
 
     let mut threaded = smoke_options();
-    threaded.engine = EngineOptions { threads: 4, model_threads: 4, ..threaded.engine };
+    threaded.engine = EngineOptions { threads: 4, ..threaded.engine };
     let c = tune(&base, &raw, &threaded).unwrap();
     assert_eq!(
         tcgen_spec::canonical(&a.tuned),
