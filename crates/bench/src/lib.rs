@@ -340,12 +340,12 @@ pub fn measure_profile_speed(records: usize, runs: usize) -> ProfileSpeed {
 /// `checkpoint_blocks == 0` is the sequential baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointSpeedRow {
-    /// Blocks per checkpoint (`0` = no checkpoints, the legacy layout).
+    /// Blocks per span (`0` = no spans, the legacy layout).
     pub checkpoint_blocks: usize,
     /// [`EngineOptions::threads`]: the workers packing and inflating
     /// block segments.
     pub threads: usize,
-    /// Compressed size in bytes, checkpoints and footer included.
+    /// Compressed size in bytes, span markers and footer included.
     pub compressed: usize,
     /// Best compression wall time in seconds.
     pub compress_seconds: f64,
@@ -354,12 +354,13 @@ pub struct CheckpointSpeedRow {
 }
 
 /// The checkpointed-container cost measurement: the same large gzip
-/// store-address trace compressed with and without checkpoints, and
-/// decompressed with one and with four segment workers. Checkpoints
-/// cost container bytes and snapshot time and buy record-range seeks
-/// (`extract_range`); a whole-container decode replays sequentially
-/// either way. The rows are informational — sizes here are never
-/// golden-pinned.
+/// store-address trace compressed with and without spans, and
+/// decompressed with one and with four segment workers. Every span
+/// starts from fresh predictor state, so spans cost a marker byte, a
+/// footer entry, a table rebuild and some colder predictions, and buy
+/// record-range seeks (`extract_range`); a whole-container decode
+/// replays sequentially either way. The rows are informational — sizes
+/// here are never golden-pinned.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpeed {
     /// Base record count handed to the trace generator.
@@ -379,10 +380,10 @@ pub struct CheckpointSpeed {
 /// each one's best. Losslessness is asserted on every pass by
 /// [`measure`].
 ///
-/// The checkpointed rows price the checkpoints: the compress side packs
-/// a snapshot every 8 blocks, and the decompress side walks past the
-/// checkpoint frames without inflating them, so its rows should track
-/// the sequential baseline at the same thread count.
+/// The checkpointed rows price the spans: both sides rebuild the
+/// predictor banks every 8 blocks, so compressed size, compress time and
+/// decompress time should all track the sequential baseline at the same
+/// thread count.
 ///
 /// # Panics
 ///

@@ -102,9 +102,9 @@ fn usage() -> String {
      \x20                   candidates (0 = one per CPU, 1 = serial; output\n\
      \x20                   is identical for every N)\n\
      --block-records N  records per compressed block (0 = whole trace)\n\
-     --checkpoint-blocks N  write a predictor-state checkpoint every N blocks\n\
-     \x20                   plus a seekable footer (0 = off, the default).\n\
-     \x20                   Checkpointed containers support\n\
+     --checkpoint-blocks N  start a span every N blocks, each from fresh\n\
+     \x20                   predictor state, plus a seekable footer (0 = off,\n\
+     \x20                   the default). Containers with spans support\n\
      \x20                   `tcgen cat --range`\n\
      --range A..B       record range (absolute indices) for `cat`; the whole\n\
      \x20                   trace when omitted. Without a checkpoint footer,\n\
@@ -305,8 +305,8 @@ fn parse_profile(value: Option<&String>) -> Result<Backend, String> {
         .ok_or_else(|| format!("unknown profile '{value}' (use fast, balanced, or max)"))
 }
 
-/// `tcgen inspect` — dump a container's prelude and, for checkpointed
-/// containers, its footer index: per-span block and record ranges. No
+/// `tcgen inspect` — dump a container's prelude and, for containers with
+/// spans, its footer index: per-span blocks, records and offset. No
 /// specification is needed; nothing inside the block frames is read.
 fn inspect_container(args: &[String]) -> Result<(), String> {
     let mut json = false;
@@ -329,7 +329,7 @@ fn inspect_container(args: &[String]) -> Result<(), String> {
     let mut file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let info = tcgen_engine::inspect(&mut file).map_err(|e| format!("{path}: {e}"))?;
     if json {
-        println!("{}", inspect_json(&info));
+        println!("{}", tcgen_server::jobs::inspect_json(&info));
         return Ok(());
     }
     println!("container:    {path}");
@@ -350,48 +350,12 @@ fn inspect_container(args: &[String]) -> Result<(), String> {
         info.spans.len()
     );
     for (i, s) in info.spans.iter().enumerate() {
-        let opening = match s.checkpoint_offset {
-            Some(off) => format!("checkpoint at byte {off}"),
-            None => "fresh predictor state".to_string(),
-        };
         println!(
-            "  span {i}: blocks {}..{}, records {}..{} ({opening})",
-            s.first_block, s.end_block, s.start_record, s.end_record
+            "  span {i}: blocks {}..{}, records {}..{}, offset {}",
+            s.first_block, s.end_block, s.start_record, s.end_record, s.offset
         );
     }
     Ok(())
-}
-
-fn inspect_json(info: &tcgen_engine::ContainerInfo) -> String {
-    let mut spans = String::new();
-    for (i, s) in info.spans.iter().enumerate() {
-        if i > 0 {
-            spans.push(',');
-        }
-        let ckpt = s.checkpoint_offset.map_or("null".to_string(), |off| off.to_string());
-        spans.push_str(&format!(
-            "\n    {{\"first_block\": {}, \"end_block\": {}, \"start_record\": {}, \
-             \"end_record\": {}, \"checkpoint_offset\": {ckpt}}}",
-            s.first_block, s.end_block, s.start_record, s.end_record
-        ));
-    }
-    let opt = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
-    format!(
-        "{{\n  \"version\": {},\n  \"flags\": {},\n  \"spec_hash\": {},\n  \
-         \"header_len\": {},\n  \"profile\": {},\n  \"checkpointed\": {},\n  \
-         \"file_len\": {},\n  \"n_blocks\": {},\n  \"total_records\": {},\n  \
-         \"spans\": [{spans}{}]\n}}",
-        info.version,
-        info.flags,
-        info.spec_hash,
-        info.header_len,
-        opt(info.backend.map(|b| format!("\"{}\"", b.profile()))),
-        info.checkpointed,
-        info.file_len,
-        opt(info.n_blocks.map(|n| n.to_string())),
-        opt(info.total_records.map(|n| n.to_string())),
-        if info.spans.is_empty() { "" } else { "\n  " },
-    )
 }
 
 /// `tcgen cat` — extract a record range from a container. Checkpointed

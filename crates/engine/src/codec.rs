@@ -7,8 +7,8 @@
 //! ```text
 //! "TCGZ"  u8 version  u8 flags  u32 spec_hash  u16 header_len  header bytes
 //! blocks: 0x01  u32 n_records  per field { codes segment, values segment }
-//! ckpt:   0x02  u32 compressed_len  post-codec container   (flag bit 5 only)
-//! end:    0x00  then, when flag bit 5 is set, the block-index footer
+//! span:   0x02, before the first block of every span but the first (flag bit 6 only)
+//! end:    0x00  then, when flag bit 6 is set, the block-index footer
 //! segment: u32 compressed_len  blockzip container
 //! ```
 //!
@@ -19,8 +19,8 @@
 //! Each direction is one loop. `BlockWriter` takes trace records in
 //! whatever pieces its caller has them — [`crate::Engine::compress`]
 //! passes its whole input slice, [`compress_stream`] the chunks it reads
-//! — and owns block splitting, the checkpoint decision, packing and the
-//! footer offsets, so the bytes cannot depend on the entry point.
+//! — and owns block splitting, the span starts, packing and the footer
+//! offsets, so the bytes cannot depend on the entry point.
 //! `BlockDecoder` inflates and replays the block frames the frame
 //! reader yields; the in-memory decode, [`decompress_stream`] and
 //! [`crate::extract_range`] all run it.
@@ -36,11 +36,11 @@
 //! the serial stage, and the results come back in submission order, so
 //! the container is byte-identical for every thread count.
 //!
-//! Checkpoint frames ([`EngineOptions::checkpoint_blocks`]) are a seek
-//! index. [`crate::extract_range`] restores the snapshot that opens the
-//! span covering a record range and replays from there; a whole-container
-//! decode carries the predictor state through every checkpoint, so it
-//! checks their frames against the footer but never inflates one.
+//! Spans ([`EngineOptions::checkpoint_blocks`]) are a seek index. Every
+//! span starts from fresh predictor banks, on the writer and on every
+//! reader alike, so [`crate::extract_range`] replays only the span
+//! covering a record range; a whole-container decode replays every span
+//! in order, rebuilding the banks at each span marker.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -50,8 +50,7 @@ use tcgen_telemetry::{driver_span, OpCounters, Recorder};
 
 use crate::columnar::{Modeler, Replayer, COLUMN_CHUNK_RECORDS};
 use crate::container::{
-    self, read_full, BlockFrame, Footer, Frame, FrameReader, BLOCK_MARKER, CHECKPOINT_MARKER,
-    END_MARKER,
+    self, read_full, BlockFrame, Footer, FrameReader, BLOCK_MARKER, END_MARKER, SPAN_MARKER,
 };
 use crate::options::EngineOptions;
 use crate::pool::{Pipeline, PoolTelemetry};
@@ -124,21 +123,6 @@ pub fn replay_streams(
     Ok(out)
 }
 
-/// The codec for checkpoint snapshot frames — always the fast
-/// range-coder backend, regardless of the backend packing the block
-/// segments. Snapshots are sparse since format version 2: occupancy
-/// bitmaps skip every never-touched table line, so a frame scales with
-/// the touched working set (kilobytes early in a trace) instead of the
-/// tens of megabytes the paper's TCGEN_A tables span. They exist purely
-/// to speed decoding up, so routing them through the `max` BWT chain
-/// would spend more wall-clock packing state than the checkpoints can
-/// ever win back, on both sides. The choice is part of the checkpointed
-/// container format: the writer and every reader open snapshot frames
-/// with this codec.
-pub(crate) fn checkpoint_codec(level: blockzip::Level) -> Box<dyn PostCodec> {
-    crate::postcodec::Backend::Fast.codec(level)
-}
-
 /// `codec` with stage-timing probes attached when a recorder is present.
 fn probed(mut codec: Box<dyn PostCodec>, tel: Option<&Recorder>) -> Box<dyn PostCodec> {
     if let Some(rec) = tel {
@@ -166,19 +150,19 @@ enum Pack {
         pipe: PackPipe,
         /// Most blocks in flight before the oldest is written out.
         ahead: usize,
-        /// Submitted blocks not yet written: the record count and the
-        /// packed snapshot whose checkpoint frame precedes the block.
-        pending: VecDeque<(u32, Option<Vec<u8>>)>,
+        /// Submitted blocks not yet written: the record count and
+        /// whether the block opens a span.
+        pending: VecDeque<(u32, bool)>,
         /// Stream buffers back from the pool, ready for reuse.
         free: Vec<Vec<u8>>,
     },
 }
 
-/// The one block writer: models records into blocks, snapshots the
-/// predictor state where a checkpoint falls due, packs every block
-/// inline or on the pack pool, and writes the frames and the footer to
-/// `out`. The bytes depend only on the records and the options, never on
-/// how the caller splits the records or on the thread count.
+/// The one block writer: models records into blocks, restarts the
+/// predictor banks where a span falls due, packs every block inline or
+/// on the pack pool, and writes the frames and the footer to `out`. The
+/// bytes depend only on the records and the options, never on how the
+/// caller splits the records or on the thread count.
 pub(crate) struct BlockWriter<'a, W: Write> {
     out: W,
     /// Bytes written so far: the container offset of the next frame.
@@ -186,13 +170,10 @@ pub(crate) struct BlockWriter<'a, W: Write> {
     modeler: Modeler,
     streams: BlockStreams,
     pack: Pack,
-    /// The block index; present exactly when the container is
-    /// checkpointed, like the codec packing snapshots.
+    /// The block index; present exactly when the container has spans.
     footer: Option<Footer>,
-    ckpt_codec: Option<Box<dyn PostCodec>>,
-    /// The packed snapshot taken as the open block received its first
-    /// record, when the block starts a checkpoint interval.
-    checkpoint: Option<Vec<u8>>,
+    /// The open block starts a span.
+    opens_span: bool,
     /// Blocks closed so far.
     blocks: usize,
     record_len: usize,
@@ -235,16 +216,14 @@ impl<'a, W: Write> BlockWriter<'a, W> {
             );
             Pack::Pool { pipe, ahead: 2 * threads, pending: VecDeque::new(), free: Vec::new() }
         };
-        let checkpointed = options.checkpoint_blocks > 0;
         let mut writer = Self {
             out,
             pos: 0,
             modeler: Modeler::new(spec, options),
             streams: BlockStreams::new(spec.fields.len()),
             pack,
-            footer: checkpointed.then(Footer::default),
-            ckpt_codec: checkpointed.then(|| probed(checkpoint_codec(level), tel)),
-            checkpoint: None,
+            footer: (options.checkpoint_blocks > 0).then(Footer::default),
+            opens_span: false,
             blocks: 0,
             record_len: spec.record_bytes() as usize,
             block_records: options.effective_block_records(),
@@ -270,17 +249,14 @@ impl<'a, W: Write> BlockWriter<'a, W> {
         }
         while !records.is_empty() {
             if self.streams.is_empty()
+                && self.footer.is_some()
                 && self.blocks > 0
                 && self.blocks.is_multiple_of(self.checkpoint_blocks)
             {
-                if let Some(ck) = self.ckpt_codec.as_mut() {
-                    // Snapshot before the block's first record is modeled:
-                    // a replayer that restores it stands exactly where
-                    // sequential replay would on entering the block.
-                    let _s = driver_span(self.tel, "checkpoint.pack");
-                    let packed = ck.compress(&self.modeler.snapshot_payload());
-                    self.checkpoint = Some(packed.map_err(Error::Post)?);
-                }
+                // Before the block's first record is modeled, so that a
+                // reader starts the block from fresh banks too.
+                self.modeler.start_span(&mut self.usage);
+                self.opens_span = true;
             }
             let room = self.block_records - self.streams.records;
             let (head, rest) =
@@ -302,7 +278,7 @@ impl<'a, W: Write> BlockWriter<'a, W> {
     /// `ahead` are.
     fn close_block(&mut self) -> Result<(), StreamError> {
         let n_records = self.streams.records as u32;
-        let checkpoint = self.checkpoint.take();
+        let opens_span = std::mem::take(&mut self.opens_span);
         self.blocks += 1;
         match &mut self.pack {
             Pack::Inline(codec) => {
@@ -314,10 +290,10 @@ impl<'a, W: Write> BlockWriter<'a, W> {
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(Error::Post)?;
                 self.streams.clear();
-                self.write_block(n_records, checkpoint, &segments)
+                self.write_block(n_records, opens_span, &segments)
             }
             Pack::Pool { pipe, ahead, pending, free } => {
-                pending.push_back((n_records, checkpoint));
+                pending.push_back((n_records, opens_span));
                 for fs in &mut self.streams.fields {
                     for stream in [&mut fs.codes, &mut fs.values] {
                         pipe.submit(std::mem::replace(stream, free.pop().unwrap_or_default()));
@@ -338,7 +314,7 @@ impl<'a, W: Write> BlockWriter<'a, W> {
         let Pack::Pool { pipe, pending, free, .. } = &mut self.pack else {
             return Ok(false);
         };
-        let Some((n_records, checkpoint)) = pending.pop_front() else {
+        let Some((n_records, opens_span)) = pending.pop_front() else {
             return Ok(false);
         };
         let _s = driver_span(self.tel, "block.flush");
@@ -348,25 +324,22 @@ impl<'a, W: Write> BlockWriter<'a, W> {
             free.push(payload);
             segments.push(packed.map_err(Error::Post)?);
         }
-        self.write_block(n_records, checkpoint, &segments)?;
+        self.write_block(n_records, opens_span, &segments)?;
         Ok(true)
     }
 
-    /// Writes one block frame — after its checkpoint frame, when the
-    /// block opens a checkpoint interval — and indexes both at the
-    /// offsets they land on.
+    /// Writes one block frame — after a span marker, when the block
+    /// opens a span — and indexes both at the offsets they land on.
     fn write_block(
         &mut self,
         n_records: u32,
-        checkpoint: Option<Vec<u8>>,
+        opens_span: bool,
         segments: &[Vec<u8>],
     ) -> Result<(), StreamError> {
-        if let Some(packed) = checkpoint {
-            let f = self.footer.as_mut().expect("checkpoint frames imply a footer");
+        if opens_span {
+            let f = self.footer.as_mut().expect("spans imply a footer");
             f.push_checkpoint(f.blocks.len() as u32, self.pos);
-            self.put(&[CHECKPOINT_MARKER])?;
-            self.put(&(packed.len() as u32).to_le_bytes())?;
-            self.put(&packed)?;
+            self.put(&[SPAN_MARKER])?;
         }
         if let Some(f) = self.footer.as_mut() {
             f.push_block(self.pos, n_records);
@@ -396,7 +369,8 @@ impl<'a, W: Write> BlockWriter<'a, W> {
         }
         self.out.flush()?;
         // Table stats are taken after the run so the occupancy counters
-        // reflect every record modeled.
+        // reflect every record modeled; each earlier span was folded in
+        // as it closed.
         if let Some(u) = self.usage.take() {
             self.modeler.record_table_stats(u);
         }
@@ -544,7 +518,8 @@ impl<'a> BlockDecoder<'a> {
 
     /// Inflates and replays every block of `blocks` in order with
     /// `replayer`, appending the records to `out` and handing `out` to
-    /// `emit` after each block.
+    /// `emit` after each block. A block that opens a span replays from
+    /// fresh predictor banks.
     pub(crate) fn run(
         &mut self,
         replayer: &mut Replayer,
@@ -587,6 +562,9 @@ impl<'a> BlockDecoder<'a> {
                 let stream = if i % 2 == 0 { &mut codes } else { &mut values };
                 stream.push(segment.map_err(Error::Post)?);
             }
+            if block.opens_span {
+                replayer.start_span();
+            }
             {
                 let _s = driver_span(self.tel, "replay.block");
                 replayer.replay_block(block.n_records, &codes, &values, out)?;
@@ -596,24 +574,16 @@ impl<'a> BlockDecoder<'a> {
     }
 }
 
-/// Decodes one span on the calling thread: restores its opening snapshot
-/// — none for span 0, which starts from fresh predictor state — then
-/// inflates and replays its blocks. Snapshots are opened with the
-/// format-fixed checkpoint codec, block segments with `options`' backend.
-/// [`crate::extract_range`] runs this on the span covering its range.
+/// Decodes `blocks`, which start a span, on the calling thread from fresh
+/// predictor state. [`crate::extract_range`] runs this from the start of
+/// the span covering its range.
 pub(crate) fn decode_span(
     spec: &TraceSpec,
     options: &EngineOptions,
-    snapshot: Option<&[u8]>,
     blocks: impl Iterator<Item = Result<BlockFrame, StreamError>>,
     tel: Option<&Recorder>,
 ) -> Result<Vec<u8>, StreamError> {
     let mut replayer = Replayer::new(spec, options);
-    if let Some(packed) = snapshot {
-        let limit = replayer.snapshot_limit();
-        let payload = probed(checkpoint_codec(options.level), tel).decompress(packed, limit);
-        replayer.restore_banks(&payload.map_err(Error::Post)?)?;
-    }
     let mut out = Vec::new();
     BlockDecoder::inline(options, tel).run(&mut replayer, blocks, &mut out, |_| Ok(()))?;
     Ok(out)
@@ -624,9 +594,7 @@ pub(crate) fn decode_span(
 /// against the input size, the footer checked against the frames — before
 /// any segment is inflated, which also fixes the decoded size, so the
 /// output is allocated exactly once. The block decoder then replays the
-/// block frames in order; checkpoint frames are checked but never
-/// inflated, since sequential replay carries the predictor state through
-/// them.
+/// block frames in order.
 pub(crate) fn decompress_slice(engine: &Engine, packed: &[u8]) -> Result<Vec<u8>, Error> {
     let (spec, options, tel) = (&engine.spec, &engine.options, engine.telemetry.as_ref());
     let _op_span = driver_span(tel, "decompress");
@@ -636,10 +604,8 @@ pub(crate) fn decompress_slice(engine: &Engine, packed: &[u8]) -> Result<Vec<u8>
         let effective = frames.open(spec, options, engine.spec_hash)?;
         let header = frames.bytes(spec.header_bytes() as usize)?;
         let mut blocks = Vec::new();
-        while let Some(frame) = frames.next()? {
-            if let Frame::Block(block) = frame {
-                blocks.push(block);
-            }
+        while let Some(block) = frames.next()? {
+            blocks.push(block);
         }
         let records = frames.walked.total_records();
         let out_len = usize::try_from(records)
@@ -706,15 +672,9 @@ pub fn decompress_stream_with_telemetry(
     let header = frames.bytes(spec.header_bytes() as usize)?;
     output.write_all(&header)?;
     let mut written = header.len() as u64;
-    // Sequential replay carries predictor state through checkpoints, so
-    // their snapshots are skipped unread.
-    let blocks = std::iter::from_fn(|| loop {
+    let blocks = std::iter::from_fn(|| {
         let _s = driver_span(tel, "io.read");
-        match frames.next().transpose()? {
-            Ok(Frame::Checkpoint) => continue,
-            Ok(Frame::Block(block)) => return Some(Ok(block)),
-            Err(e) => return Some(Err(e)),
-        }
+        frames.next().transpose()
     });
     let mut replayer = Replayer::new(spec, &effective);
     let emit = |records: &mut Vec<u8>| -> Result<(), StreamError> {

@@ -20,8 +20,8 @@
 //! lines, and the block's code and value streams are already in memory
 //! anyway.
 
-use tcgen_predictors::{FieldBank, ReplayError};
-use tcgen_spec::TraceSpec;
+use tcgen_predictors::{FieldBank, PredictorOptions, ReplayError};
+use tcgen_spec::{FieldSpec, TraceSpec};
 
 use crate::options::EngineOptions;
 use crate::streams::{field_offsets, read_value, write_value, BlockStreams};
@@ -40,11 +40,16 @@ struct Layout {
     widths: Vec<usize>,
     pc_index: usize,
     record_len: usize,
+    /// What every span's fresh banks are built from.
+    fields: Vec<FieldSpec>,
+    predictor: PredictorOptions,
 }
 
 impl Layout {
     fn new(spec: &TraceSpec, options: &EngineOptions) -> Self {
         Self {
+            fields: spec.fields.clone(),
+            predictor: options.predictor,
             offsets: field_offsets(spec),
             field_bytes: spec.fields.iter().map(|f| f.bytes() as usize).collect(),
             widths: spec
@@ -60,10 +65,14 @@ impl Layout {
     fn n_fields(&self) -> usize {
         self.offsets.len()
     }
-}
 
-fn banks(spec: &TraceSpec, options: &EngineOptions) -> Vec<FieldBank> {
-    spec.fields.iter().map(|f| FieldBank::new(f, options.predictor)).collect()
+    /// Fills `banks` with freshly built banks, one per field. The old set
+    /// is dropped first, so a call never holds two table sets (TCGEN_A's
+    /// is about 20 MB).
+    fn fresh_banks(&self, banks: &mut Vec<FieldBank>) {
+        banks.clear();
+        banks.extend(self.fields.iter().map(|f| FieldBank::new(f, self.predictor)));
+    }
 }
 
 /// The modeling stage: feeds records through the predictor banks and
@@ -81,36 +90,35 @@ pub(crate) struct Modeler {
 impl Modeler {
     pub(crate) fn new(spec: &TraceSpec, options: &EngineOptions) -> Self {
         let layout = Layout::new(spec, options);
-        Self {
-            banks: banks(spec, options),
-            cols: vec![Vec::new(); layout.n_fields()],
-            layout,
-            miss_buf: Vec::new(),
-        }
+        let mut banks = Vec::new();
+        layout.fresh_banks(&mut banks);
+        Self { banks, cols: vec![Vec::new(); layout.n_fields()], layout, miss_buf: Vec::new() }
     }
 
     /// Copies each bank's value-table footprint and table occupancy into
-    /// `usage`. The footprint reflects the element widths actually
-    /// selected; the occupancy reflects the lines written so far, so
-    /// this runs after modeling.
+    /// `usage`, keeping each table's largest `lines_written` across the
+    /// spans recorded so far: the working set one span needs. The
+    /// footprint reflects the element widths actually selected; the
+    /// occupancy reflects the lines written so far, so this runs after
+    /// modeling.
     pub(crate) fn record_table_stats(&self, usage: &mut UsageReport) {
         for (field, bank) in usage.fields.iter_mut().zip(&self.banks) {
             field.table_bytes = bank.table_bytes() as u64;
-            field.occupancy = bank.occupancy();
+            let mut occupancy = bank.occupancy();
+            for (table, earlier) in occupancy.iter_mut().zip(&field.occupancy) {
+                table.lines_written = table.lines_written.max(earlier.lines_written);
+            }
+            field.occupancy = occupancy;
         }
     }
 
-    /// Serializes every field bank's current state as a checkpoint
-    /// payload: per field in declaration order, a `u32` length and the
-    /// bank's versioned snapshot.
-    pub(crate) fn snapshot_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for bank in &self.banks {
-            let snap = bank.snapshot();
-            out.extend_from_slice(&(snap.len() as u32).to_le_bytes());
-            out.extend_from_slice(&snap);
+    /// Starts a span: every bank restarts from fresh state, after its
+    /// table occupancy is folded into `usage`.
+    pub(crate) fn start_span(&mut self, usage: &mut Option<&mut UsageReport>) {
+        if let Some(u) = usage.as_deref_mut() {
+            self.record_table_stats(u);
         }
-        out
+        self.layout.fresh_banks(&mut self.banks);
     }
 
     /// Models `chunk` (whole records) into `streams`, incrementing its
@@ -192,9 +200,11 @@ fn map_replay(
 }
 
 /// The replay stage: reconstructs records from decoded code and value
-/// streams, carrying predictor state across blocks. The block decoder
-/// ([`crate::codec`]) drives it for every decode entry point.
+/// streams, carrying predictor state across the blocks of a span. The
+/// block decoder ([`crate::codec`]) drives it for every decode entry
+/// point.
 pub(crate) struct Replayer {
+    /// Empty until the span's first block replays.
     banks: Vec<FieldBank>,
     layout: Layout,
     /// Reusable decoded-value columns, one per field.
@@ -209,7 +219,7 @@ impl Replayer {
     pub(crate) fn new(spec: &TraceSpec, options: &EngineOptions) -> Self {
         let layout = Layout::new(spec, options);
         Self {
-            banks: banks(spec, options),
+            banks: Vec::new(),
             record: vec![0u8; layout.record_len],
             cols: vec![Vec::new(); layout.n_fields()],
             layout,
@@ -223,39 +233,10 @@ impl Replayer {
         &self.layout.widths
     }
 
-    /// Restores every field bank from a checkpoint payload written by
-    /// [`Modeler::snapshot_payload`], placing this replayer exactly at
-    /// the predictor state the owning checkpoint captured.
-    pub(crate) fn restore_banks(&mut self, payload: &[u8]) -> Result<(), Error> {
-        let mut pos = 0usize;
-        for (fi, bank) in self.banks.iter_mut().enumerate() {
-            let len_bytes = payload.get(pos..pos + 4).ok_or(Error::Truncated)?;
-            let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte slice")) as usize;
-            pos += 4;
-            let snap = payload.get(pos..pos + len).ok_or(Error::Truncated)?;
-            pos += len;
-            bank.restore(snap)
-                .map_err(|e| Error::Corrupt(format!("checkpoint: field {fi}: {e}")))?;
-        }
-        if pos != payload.len() {
-            return Err(Error::Corrupt("checkpoint: trailing snapshot bytes".into()));
-        }
-        Ok(())
-    }
-
-    /// Upper bound on a checkpoint payload's decoded size under this
-    /// configuration: even with every table line touched, a sparse
-    /// snapshot is at most the bank's table-state footprint plus its
-    /// occupancy bitmaps (under an eighth of the footprint), per-field
-    /// framing, and header bytes.
-    pub(crate) fn snapshot_limit(&self) -> usize {
-        self.banks
-            .iter()
-            .map(|b| {
-                let bytes = b.memory_bytes();
-                bytes + bytes / 4 + 64
-            })
-            .sum()
+    /// Starts a span: the banks are dropped, and the next block replays
+    /// from freshly built ones.
+    pub(crate) fn start_span(&mut self) {
+        self.banks.clear();
     }
 
     /// Replays one block, appending reconstructed records to `out`.
@@ -280,6 +261,9 @@ impl Replayer {
             }
         }
         let Self { banks, layout, cols, miss_buf, record } = self;
+        if banks.is_empty() {
+            layout.fresh_banks(banks);
+        }
         let pc = layout.pc_index;
         let mut replay = |fi: usize, pcs: Option<&[u64]>, col: &mut Vec<u64>| {
             let (values, width) = (&values[fi], layout.widths[fi]);

@@ -12,9 +12,10 @@
 //!
 //! followed by `header_len` passthrough header bytes, then block frames.
 //!
-//! When the checkpoint flag bit is set, `0x02`-marked checkpoint
-//! segments (a compressed predictor-state snapshot) may precede block
-//! frames, and the end marker is followed by a footer:
+//! When the span flag bit is set, the blocks fall into spans, each of
+//! which starts from fresh predictor state. Every span after the first
+//! opens with a bare `0x02` marker byte — no length, no payload — and
+//! the end marker is followed by a footer:
 //!
 //! ```text
 //! u32 n_blocks       n_blocks × { u64 offset  u32 n_records }
@@ -22,10 +23,11 @@
 //! u32 crc32(body)    u32 body_len  "TCGF"
 //! ```
 //!
-//! Offsets are absolute container offsets of the frame's marker byte, so
-//! a seekable reader can locate the footer from the file tail (fixed
-//! 12-byte trailer), pick the checkpoint covering a record range, and
-//! replay only the spans it needs.
+//! Block offsets are absolute container offsets of the block marker
+//! byte, checkpoint offsets those of the span marker, so a seekable
+//! reader can locate the footer from the file tail (fixed 12-byte
+//! trailer), pick the span covering a record range, and replay only
+//! that span.
 
 use std::io::{Read, Seek, SeekFrom};
 
@@ -41,9 +43,9 @@ pub(crate) const MAGIC: &[u8; 4] = b"TCGZ";
 pub(crate) const VERSION: u8 = 1;
 /// Marker byte that introduces a block frame.
 pub(crate) const BLOCK_MARKER: u8 = 0x01;
-/// Marker byte that introduces a checkpoint segment (checkpointed
-/// containers only).
-pub(crate) const CHECKPOINT_MARKER: u8 = 0x02;
+/// Marker byte that opens every span after the first (containers with
+/// the span flag only).
+pub(crate) const SPAN_MARKER: u8 = 0x02;
 /// Marker byte that terminates the block sequence.
 pub(crate) const END_MARKER: u8 = 0x00;
 /// Fixed prelude size: magic, version, flags, spec hash, header length.
@@ -96,16 +98,16 @@ pub(crate) struct BlockEntry {
     pub(crate) n_records: u32,
 }
 
-/// One checkpoint segment in the footer index.
+/// One span start (a checkpoint) in the footer index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CheckpointEntry {
-    /// Index of the first block the checkpoint state covers.
+    /// Index of the span's first block.
     pub(crate) block_index: u32,
-    /// Absolute container offset of the segment's marker byte.
+    /// Absolute container offset of the span marker byte.
     pub(crate) offset: u64,
 }
 
-/// The decoded footer index of a checkpointed container.
+/// The decoded footer index of a container with spans.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Footer {
     pub(crate) blocks: Vec<BlockEntry>,
@@ -118,7 +120,7 @@ impl Footer {
         self.blocks.push(BlockEntry { offset, n_records });
     }
 
-    /// Records a checkpoint whose state covers blocks from `block_index`.
+    /// Records a span opening at block `block_index`.
     pub(crate) fn push_checkpoint(&mut self, block_index: u32, offset: u64) {
         self.checkpoints.push(CheckpointEntry { block_index, offset });
     }
@@ -249,20 +251,14 @@ pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<us
 }
 
 /// One block frame: the offset of its marker byte, its record count,
-/// and its `2 * n_fields` packed segments in container order.
+/// its `2 * n_fields` packed segments in container order, and whether a
+/// span marker precedes it.
 pub(crate) struct BlockFrame {
     pub(crate) offset: u64,
     pub(crate) n_records: usize,
     pub(crate) segments: Vec<Vec<u8>>,
-}
-
-/// A frame as [`FrameReader::next`] yields it.
-pub(crate) enum Frame {
-    Block(BlockFrame),
-    /// A checkpoint frame, indexed in [`FrameReader::walked`]. The
-    /// snapshot stays unread: [`FrameReader::payload`] reads it, and the
-    /// next frame read skips it.
-    Checkpoint,
+    /// The block starts a span: it replays from fresh predictor state.
+    pub(crate) opens_span: bool,
 }
 
 /// The one reader of container frames, over any [`Read`]: the in-memory
@@ -283,9 +279,8 @@ pub(crate) struct FrameReader<R> {
     len: Option<u64>,
     /// Segments per block frame, two per field.
     segments: usize,
-    checkpointed: bool,
-    /// Bytes of the last checkpoint payload that nobody read yet.
-    unread: u64,
+    /// The container has spans, so span markers and a footer.
+    spans: bool,
     /// The frames read so far, in footer form.
     pub(crate) walked: Footer,
     /// Fed with every byte read from `inner`.
@@ -299,8 +294,7 @@ impl<R: Read> FrameReader<R> {
             pos: 0,
             len,
             segments: 0,
-            checkpointed: false,
-            unread: 0,
+            spans: false,
             walked: Footer::default(),
             bytes_read,
         }
@@ -343,19 +337,25 @@ impl<R: Read> FrameReader<R> {
         }
         let effective = options.with_flags(prelude.flags)?;
         self.segments = 2 * spec.fields.len();
-        self.checkpointed = effective.checkpoint_blocks > 0;
+        self.spans = effective.checkpoint_blocks > 0;
         Ok(effective)
     }
 
-    /// Reads the next frame, or `None` at the end marker once the footer
-    /// check has passed.
-    pub(crate) fn next(&mut self) -> Result<Option<Frame>, StreamError> {
-        let unread = std::mem::take(&mut self.unread);
-        self.skip(unread)?;
-        let offset = self.pos;
-        let [marker] = self.array()?;
+    /// Reads the next block frame, consuming the span marker before it,
+    /// or returns `None` at the end marker once the footer check has
+    /// passed.
+    pub(crate) fn next(&mut self) -> Result<Option<BlockFrame>, StreamError> {
+        let mut offset = self.pos;
+        let [mut marker] = self.array()?;
+        let opens_span = marker == SPAN_MARKER && self.spans;
+        if opens_span {
+            self.walked.push_checkpoint(self.walked.blocks.len() as u32, offset);
+            offset = self.pos;
+            [marker] = self.array()?;
+        }
         match marker {
-            END_MARKER => {
+            // A span marker must open a block.
+            END_MARKER if !opens_span => {
                 self.check_footer()?;
                 Ok(None)
             }
@@ -366,33 +366,21 @@ impl<R: Read> FrameReader<R> {
                     let len = u32::from_le_bytes(self.array()?);
                     segments.push(self.bytes(len as usize)?);
                 }
-                let block = BlockFrame { offset, n_records: n_records as usize, segments };
-                self.walked.push_block(block.offset, n_records);
-                Ok(Some(Frame::Block(block)))
-            }
-            CHECKPOINT_MARKER if self.checkpointed => {
-                let len = u32::from_le_bytes(self.array()?);
-                self.walked.push_checkpoint(self.walked.blocks.len() as u32, offset);
-                self.unread = u64::from(len);
-                Ok(Some(Frame::Checkpoint))
+                self.walked.push_block(offset, n_records);
+                let n_records = n_records as usize;
+                Ok(Some(BlockFrame { offset, n_records, segments, opens_span }))
             }
             other => Err(StreamError::corrupt(format!("unexpected block marker {other:#x}"))),
         }
     }
 
-    /// Reads the packed snapshot of the checkpoint frame just returned.
-    pub(crate) fn payload(&mut self) -> Result<Vec<u8>, StreamError> {
-        let len = std::mem::take(&mut self.unread);
-        self.bytes(len as usize)
-    }
-
-    /// The footer check, the only one: a checkpointed container must
-    /// close with exactly the footer the frames read encode — offsets,
-    /// record counts, checkpoint placement and CRC included — so a forged
-    /// index can never point a seek at bytes a sequential decode would
-    /// not have read. Nothing may follow.
+    /// The footer check, the only one: a container with spans must close
+    /// with exactly the footer the frames read encode — offsets, record
+    /// counts, span placement and CRC included — so a forged index can
+    /// never point a seek at bytes a sequential decode would not have
+    /// read. Nothing may follow.
     fn check_footer(&mut self) -> Result<(), StreamError> {
-        if self.checkpointed {
+        if self.spans {
             let expected = self.walked.encode();
             if self.bytes(expected.len())? != expected {
                 let msg = "checkpoint footer: index does not match the container structure";
@@ -433,17 +421,6 @@ impl<R: Read> FrameReader<R> {
         Ok(())
     }
 
-    /// Discards `n` bytes without buffering them.
-    fn skip(&mut self, n: u64) -> Result<(), StreamError> {
-        self.check_left(n)?;
-        let skipped = std::io::copy(&mut (&mut self.inner).take(n), &mut std::io::sink())?;
-        self.advance(skipped);
-        if skipped != n {
-            return Err(Error::Truncated.into());
-        }
-        Ok(())
-    }
-
     fn check_left(&self, n: u64) -> Result<(), StreamError> {
         match self.len {
             Some(len) if n > len.saturating_sub(self.pos) => Err(Error::Truncated.into()),
@@ -475,14 +452,13 @@ impl<R: Read + Seek> FrameReader<R> {
         self.len.unwrap_or(0)
     }
 
-    /// Moves to container offset `offset`, dropping any unread payload.
+    /// Moves to container offset `offset`.
     pub(crate) fn seek(&mut self, offset: u64) -> Result<(), StreamError> {
         if offset >= self.file_len() {
             return Err(Error::Truncated.into());
         }
         self.inner.seek(SeekFrom::Start(offset))?;
         self.pos = offset;
-        self.unread = 0;
         Ok(())
     }
 

@@ -37,12 +37,13 @@ pub struct EngineOptions {
     /// travels in the container flags; any configuration can decompress
     /// any container because decode dispatches on the recorded id.
     pub backend: Backend,
-    /// Emit a predictor-state checkpoint every this many blocks and
-    /// append a seekable footer (the CLI's `--checkpoint-blocks`). `0` —
-    /// the default — writes the legacy byte-identical container. Any
-    /// positive value sets the checkpoint flag bit; decompression reads
-    /// the footer, not this knob, so the interval only matters on the
-    /// compress side.
+    /// Start a new span every this many blocks and append a seekable
+    /// footer (the CLI's `--checkpoint-blocks`). Every span starts from
+    /// fresh predictor state, so it decodes on its own. `0` — the
+    /// default — writes the byte-identical container without spans. Any
+    /// positive value sets the span flag bit; decompression reads the
+    /// markers and the footer, not this knob, so the interval only
+    /// matters on the compress side.
     pub checkpoint_blocks: usize,
 }
 
@@ -153,20 +154,24 @@ impl EngineOptions {
     }
 
     /// Flag bits this build understands: bits 0–2 are the semantic
-    /// predictor options, bits 3–4 the post-compression backend id, bit 5
-    /// the checkpoint footer. Bits 6–7 are reserved and must be zero.
-    const KNOWN_FLAGS: u8 = 0b0011_1111;
+    /// predictor options, bits 3–4 the post-compression backend id, bit 6
+    /// the spans. Bit 5 is retired and bit 7 reserved; both must be zero.
+    const KNOWN_FLAGS: u8 = 0b0101_1111;
 
-    /// Bit 5: the container carries checkpoint segments and a seekable
-    /// footer after the end marker.
-    pub(crate) const FLAG_CHECKPOINTS: u8 = 0b0010_0000;
+    /// Bit 5, retired: the container carries predictor-state snapshot
+    /// checkpoints, a layout this build no longer reads.
+    const FLAG_SNAPSHOTS: u8 = 0b0010_0000;
+
+    /// Bit 6: the container is cut into spans that each start from fresh
+    /// predictor state, and a seekable footer follows the end marker.
+    pub(crate) const FLAG_SPANS: u8 = 0b0100_0000;
 
     /// Encodes the semantics-affecting options into a container flag
     /// byte: bit 0 smart update, bit 1 adaptive shift, bit 2 type
-    /// minimization, bits 3–4 the post-compression backend id, bit 5 the
-    /// checkpoint footer. Speed-only options (fast hash, sharing,
-    /// threads) are excluded: any decompressor configuration reproduces
-    /// the same trace.
+    /// minimization, bits 3–4 the post-compression backend id, bit 6 the
+    /// spans. Speed-only options (fast hash, sharing, threads) are
+    /// excluded: any decompressor configuration reproduces the same
+    /// trace.
     pub fn flags(&self) -> u8 {
         let mut f = 0u8;
         if self.predictor.policy == UpdatePolicy::Smart {
@@ -179,7 +184,7 @@ impl EngineOptions {
             f |= 4;
         }
         if self.checkpoint_blocks > 0 {
-            f |= Self::FLAG_CHECKPOINTS;
+            f |= Self::FLAG_SPANS;
         }
         f | (self.backend.id() << 3)
     }
@@ -189,11 +194,12 @@ impl EngineOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] if the byte uses reserved bits or a
-    /// backend id this build does not understand — a forward-compat
-    /// guard, so a newer container fails loudly instead of being
-    /// misdecoded.
+    /// Returns [`Error::Corrupt`] if the byte marks retired snapshot
+    /// checkpoints, or uses reserved bits or a backend id this build does
+    /// not understand — a forward-compat guard, so a newer container
+    /// fails loudly instead of being misdecoded.
     pub fn with_flags(mut self, flags: u8) -> Result<Self, Error> {
+        Self::reject_snapshots(flags)?;
         if flags & !Self::KNOWN_FLAGS != 0 {
             return Err(Error::Corrupt(format!(
                 "container flags {flags:#04x} use reserved bits this build does not understand"
@@ -210,8 +216,19 @@ impl EngineOptions {
         // The interval is a compress-side knob; decode only needs the
         // bit. Normalize so flags() of the rebuilt options round-trips.
         self.checkpoint_blocks =
-            if flags & Self::FLAG_CHECKPOINTS != 0 { self.checkpoint_blocks.max(1) } else { 0 };
+            if flags & Self::FLAG_SPANS != 0 { self.checkpoint_blocks.max(1) } else { 0 };
         Ok(self)
+    }
+
+    /// Fails on flag bit 5, the retired snapshot-checkpoint layout.
+    pub(crate) fn reject_snapshots(flags: u8) -> Result<(), Error> {
+        if flags & Self::FLAG_SNAPSHOTS != 0 {
+            return Err(Error::Corrupt(format!(
+                "container flags {flags:#04x} mark retired snapshot checkpoints (bit 5); \
+                 decompress it with an older build and recompress it"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -258,7 +275,7 @@ mod tests {
 
     #[test]
     fn reserved_flag_bits_and_backend_ids_rejected() {
-        for flags in [0b0100_0111u8, 0b1000_0000, 0b1100_0000, 0xff] {
+        for flags in [0b1000_0111u8, 0b1000_0000, 0b1100_0000, 0xff] {
             let err = EngineOptions::tcgen().with_flags(flags).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "flags {flags:#04x}");
         }
@@ -272,7 +289,7 @@ mod tests {
         let base = EngineOptions::tcgen();
         for interval in [1usize, 4, 1 << 20] {
             let opts = EngineOptions { checkpoint_blocks: interval, ..base };
-            assert_eq!(opts.flags(), base.flags() | EngineOptions::FLAG_CHECKPOINTS);
+            assert_eq!(opts.flags(), base.flags() | 0b0100_0000);
             let rebuilt = base.with_flags(opts.flags()).unwrap();
             assert!(rebuilt.checkpoint_blocks > 0);
             assert_eq!(rebuilt.flags(), opts.flags());

@@ -1,14 +1,15 @@
-//! Seekable access to checkpointed containers: inspect a container's
+//! Seekable access to containers with spans: inspect a container's
 //! prelude and footer without a specification, and extract an arbitrary
-//! record range by reading only the footer plus the spans that cover it.
+//! record range by reading only the footer plus the span that covers it.
 //!
 //! Both entry points work over `Read + Seek` through the container's one
 //! frame reader (`container::FrameReader`), so a multi-gigabyte
 //! container on disk costs three reads for [`inspect`] (prelude, footer
 //! tail, footer body) and, for [`extract_range`], additionally the
-//! covering checkpoint frame and block frames — never the whole file.
-//! The covering span decodes through the same block decoder as a full
-//! decompression (`codec::decode_span`).
+//! covering block frames — never the whole file. Every span starts from
+//! fresh predictor state, so the covering span decodes on its own,
+//! through the same block decoder as a full decompression
+//! (`codec::decode_span`).
 
 use std::io::{Read, Seek};
 
@@ -16,18 +17,18 @@ use tcgen_spec::TraceSpec;
 use tcgen_telemetry::Recorder;
 
 use crate::codec::{decode_span, spec_hash};
-use crate::container::{self, Frame, FrameReader};
+use crate::container::{self, FrameReader, PRELUDE_LEN};
 use crate::options::EngineOptions;
 use crate::postcodec::Backend;
 use crate::StreamError;
 
 /// Telemetry counter fed with every byte [`extract_range`] reads from
 /// the container, so tests (and curious users) can verify that a range
-/// extraction touches only the footer and the covering spans.
+/// extraction touches only the footer and the covering span.
 pub const SEEK_BYTES_READ: &str = "seek.bytes_read";
 
-/// One independently replayable span of a checkpointed container, as
-/// reported by [`inspect`].
+/// One independently replayable span of a container, as reported by
+/// [`inspect`]. Every span starts from fresh predictor state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanInfo {
     /// Index of the first block in the span.
@@ -38,9 +39,9 @@ pub struct SpanInfo {
     pub start_record: u64,
     /// One past the last record in the span.
     pub end_record: u64,
-    /// Container offset of the checkpoint segment opening the span;
-    /// `None` for span 0, which replays from fresh predictor state.
-    pub checkpoint_offset: Option<u64>,
+    /// Container offset where the span's frames start: its span marker,
+    /// or for span 0 the byte after the passthrough header.
+    pub offset: u64,
 }
 
 /// A container's prelude and (when present) footer index, decoded
@@ -58,30 +59,33 @@ pub struct ContainerInfo {
     /// The post-compression backend recorded in the flags, when the id
     /// is valid.
     pub backend: Option<Backend>,
-    /// Whether the checkpoint flag bit is set.
+    /// Whether the span flag bit is set: the container has spans and a
+    /// footer.
     pub checkpointed: bool,
     /// Total container size in bytes.
     pub file_len: u64,
-    /// Block count from the footer (checkpointed containers only).
+    /// Block count from the footer (containers with spans only).
     pub n_blocks: Option<usize>,
-    /// Total records from the footer (checkpointed containers only).
+    /// Total records from the footer (containers with spans only).
     pub total_records: Option<u64>,
-    /// The replayable spans, in container order (checkpointed only).
+    /// The replayable spans, in container order (containers with spans
+    /// only).
     pub spans: Vec<SpanInfo>,
 }
 
-/// Reads a container's prelude — and, for checkpointed containers, its
+/// Reads a container's prelude — and, for containers with spans, its
 /// footer — from a seekable reader. No specification is needed: nothing
 /// inside the block frames is touched.
 ///
 /// # Errors
 ///
-/// [`StreamError::Codec`] on a malformed prelude or footer, and I/O
-/// errors from the reader.
+/// [`StreamError::Codec`] on a malformed prelude or footer or on the
+/// retired snapshot-checkpoint flag, and I/O errors from the reader.
 pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamError> {
     let mut frames = FrameReader::seekable(reader, None)?;
     let prelude = frames.prelude()?;
-    let checkpointed = prelude.flags & EngineOptions::FLAG_CHECKPOINTS != 0;
+    EngineOptions::reject_snapshots(prelude.flags)?;
+    let checkpointed = prelude.flags & EngineOptions::FLAG_SPANS != 0;
     let mut info = ContainerInfo {
         version: container::VERSION,
         flags: prelude.flags,
@@ -98,16 +102,17 @@ pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamE
         let footer = frames.footer()?;
         info.n_blocks = Some(footer.blocks.len());
         info.total_records = Some(footer.total_records());
-        info.spans = spans_of(&footer);
+        info.spans = spans_of(&footer, prelude.header_len);
     }
     Ok(info)
 }
 
 /// Extracts records `range.start..range.end` (absolute indices, header
-/// excluded) from a checkpointed container, reading only the prelude,
-/// the footer, and the frames of the covering span: the latest
-/// checkpoint at or before the range start is restored and replay runs
-/// from there, never from record zero.
+/// excluded) from a container with spans, reading only the prelude, the
+/// footer, and the frames that cover the range: replay starts from fresh
+/// predictor state at the latest span start at or before the range
+/// start, never from record zero, and restarts at every span the range
+/// crosses.
 ///
 /// Returns the raw record bytes, without the passthrough header. Every
 /// byte read from `reader` is counted into the [`SEEK_BYTES_READ`]
@@ -143,52 +148,41 @@ pub fn extract_range(
         return Ok(Vec::new());
     }
 
-    // Per-block starting record indices, computed once.
-    let ends = footer.blocks.iter().scan(0u64, |acc, b| {
-        *acc += u64::from(b.n_records);
-        Some(*acc)
-    });
-    let starts: Vec<u64> = std::iter::once(0).chain(ends).collect();
-
-    // The latest checkpoint whose opening block starts at or before the
-    // range: restore it and skip everything earlier.
-    let opening =
-        footer.checkpoints.iter().rev().find(|c| starts[c.block_index as usize] <= range.start);
-    let first_block = opening.map_or(0, |c| c.block_index as usize);
-    let snapshot = match opening {
-        Some(c) => {
-            frames.seek(c.offset)?;
-            let Some(Frame::Checkpoint) = frames.next()? else {
-                let msg = format!("expected a checkpoint frame at offset {}", c.offset);
-                return Err(StreamError::corrupt(msg));
-            };
-            Some(frames.payload()?)
-        }
-        None => None,
-    };
-    // Each covering block is read where the footer puts it, so later
-    // checkpoint frames inside the range are never read.
-    let covering = footer.blocks.iter().enumerate().skip(first_block);
-    let blocks = covering.take_while(|&(bi, _)| starts[bi] < range.end).map(|(_, entry)| {
-        frames.seek(entry.offset)?;
-        match frames.next()? {
-            Some(Frame::Block(block))
-                if block.offset == entry.offset
-                    && block.n_records == entry.n_records as usize =>
-            {
-                Ok(block)
+    // The latest span starting at or before the range: seek once to its
+    // start, then read forward, checking each block — and whether a span
+    // marker opens it — against the footer.
+    let spans = spans_of(&footer, spec.header_bytes() as usize);
+    let span = spans.iter().rfind(|s| s.start_record <= range.start).expect("span 0 covers 0");
+    frames.seek(span.offset)?;
+    let mut start = span.start_record;
+    let covering = footer.blocks.iter().enumerate().skip(span.first_block as usize);
+    let blocks = covering
+        .take_while(|(_, entry)| {
+            let covers = start < range.end;
+            start += u64::from(entry.n_records);
+            covers
+        })
+        .map(|(bi, entry)| {
+            let opens = footer.checkpoints.iter().any(|c| c.block_index as usize == bi);
+            match frames.next()? {
+                Some(block)
+                    if block.offset == entry.offset
+                        && block.n_records == entry.n_records as usize
+                        && block.opens_span == opens =>
+                {
+                    Ok(block)
+                }
+                _ => Err(StreamError::corrupt(format!(
+                    "block frame at offset {} does not match the footer",
+                    entry.offset
+                ))),
             }
-            _ => Err(StreamError::corrupt(format!(
-                "block frame at offset {} does not match the footer",
-                entry.offset
-            ))),
-        }
-    });
-    let mut out = decode_span(spec, &effective, snapshot.as_deref(), blocks, tel)?;
+        });
+    let mut out = decode_span(spec, &effective, blocks, tel)?;
 
-    // `out` holds records from starts[first_block]; slice the request.
+    // `out` holds records from the span's start; slice the request.
     let record_len = spec.record_bytes() as usize;
-    let skip = (range.start - starts[first_block]) as usize * record_len;
+    let skip = (range.start - span.start_record) as usize * record_len;
     let want = (range.end - range.start) as usize * record_len;
     if skip + want > out.len() {
         let msg = "span replay yielded fewer records than the footer promised";
@@ -199,15 +193,17 @@ pub fn extract_range(
     Ok(out)
 }
 
-/// Builds the span list a checkpointed container's footer describes.
-fn spans_of(footer: &container::Footer) -> Vec<SpanInfo> {
-    let mut opens = vec![(0u32, None)];
-    opens.extend(footer.checkpoints.iter().map(|c| (c.block_index, Some(c.offset))));
+/// Builds the span list a footer describes, for a container whose
+/// passthrough header is `header_len` bytes: span 0's frames start right
+/// after it.
+fn spans_of(footer: &container::Footer, header_len: usize) -> Vec<SpanInfo> {
+    let mut opens = vec![(0u32, (PRELUDE_LEN + header_len) as u64)];
+    opens.extend(footer.checkpoints.iter().map(|c| (c.block_index, c.offset)));
     let ends = opens.iter().skip(1).map(|o| o.0).chain([footer.blocks.len() as u32]);
-    let spans = opens.iter().zip(ends).map(|(&(first_block, checkpoint_offset), end_block)| {
+    let spans = opens.iter().zip(ends).map(|(&(first_block, offset), end_block)| {
         let start_record = footer.start_record(first_block as usize);
         let end_record = footer.start_record(end_block as usize);
-        SpanInfo { first_block, end_block, start_record, end_record, checkpoint_offset }
+        SpanInfo { first_block, end_block, start_record, end_record, offset }
     });
     spans.collect()
 }

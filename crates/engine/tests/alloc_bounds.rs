@@ -66,7 +66,7 @@ fn demo_trace(records: usize) -> Vec<u8> {
 #[test]
 fn forged_lengths_fail_every_decode_entry_point_without_large_allocations() {
     let spec = parse(SPEC).expect("fixture spec parses");
-    let raw = demo_trace(1_200); // 12 blocks of 100, a checkpoint every 3
+    let raw = demo_trace(1_200); // 12 blocks of 100, a span every 3
     let compressor = EngineOptions {
         block_records: 100,
         checkpoint_blocks: 3,
@@ -78,13 +78,14 @@ fn forged_lengths_fail_every_decode_entry_point_without_large_allocations() {
     // Prelude, passthrough header, block marker and record count: block
     // 0's first segment length follows.
     let segment_len_at = 12 + spec.header_bytes() as usize + 5;
-    // The checkpoint frame opening span 1: its marker, then its length.
+    // Span 1's first block: span marker, block marker and record count,
+    // then the block's first segment length.
     let span = &info.spans[1];
-    let checkpoint_len_at =
-        span.checkpoint_offset.expect("span 1 opens at a checkpoint") as usize + 1;
+    assert_eq!(packed[span.offset as usize], 0x02, "span 1 opens with its marker");
+    let span_segment_len_at = span.offset as usize + 6;
     let forgeries = [
         ("segment", segment_len_at, 0..10),
-        ("checkpoint", checkpoint_len_at, span.start_record..span.start_record + 10),
+        ("span 1 segment", span_segment_len_at, span.start_record..span.start_record + 10),
     ];
     for (what, at, range) in forgeries {
         let mut forged = packed.clone();

@@ -111,7 +111,7 @@ fn reserved_flag_bits_rejected() {
     let raw = demo_trace(200);
     let engine = Engine::new(spec(), EngineOptions::tcgen());
     let packed = engine.compress(&raw).expect("compress");
-    for bits in [0b0001_1000u8, 0b0100_0000, 0b1000_0000] {
+    for bits in [0b0001_1000u8, 0b1000_0000] {
         let mut forged = packed.clone();
         forged[5] |= bits;
         let err = engine.decompress(&forged).expect_err("reserved bits must fail");
@@ -119,15 +119,15 @@ fn reserved_flag_bits_rejected() {
     }
 }
 
-/// Forging the checkpoint flag onto a legacy container promises a footer
-/// that is not there — the decoder must reject it, not misread the last
+/// Forging the span flag onto a legacy container promises a footer that
+/// is not there — the decoder must reject it, not misread the last
 /// block's bytes as an index.
 #[test]
 fn forged_checkpoint_flag_rejected() {
     let raw = demo_trace(200);
     let engine = Engine::new(spec(), EngineOptions::tcgen());
     let mut forged = engine.compress(&raw).expect("compress");
-    forged[5] |= 0b0010_0000;
+    forged[5] |= 0b0100_0000;
     let err = engine.decompress(&forged).expect_err("forged checkpoint flag must fail");
     assert!(matches!(err, Error::Corrupt(_) | Error::Truncated), "{err:?}");
 }

@@ -1,21 +1,23 @@
 //! Checkpointed-container acceptance suite: round-trips across the
-//! interval × thread matrix, byte-identity at every thread count,
-//! streaming parity, footer hardening (corruption, truncation, forged
-//! offsets), seekable range extraction with bounded I/O, and inspection.
+//! interval × thread matrix, byte-identity at every thread count, spans
+//! that start from fresh predictor state, streaming parity, footer
+//! hardening (corruption, truncation, forged offsets), the retired
+//! snapshot flag, seekable range extraction with bounded I/O,
+//! inspection, and usage reports over spans.
 
 use std::io::{Cursor, Read, Seek, SeekFrom};
 
 use tcgen_engine::{
     compress_stream, decompress_stream, extract_range, inspect, Backend, Engine, EngineOptions,
-    Error, Recorder, StreamError, SEEK_BYTES_READ,
+    Error, Recorder, StreamError, UsageReport, SEEK_BYTES_READ,
 };
 use tcgen_spec::{parse, TraceSpec};
 
 /// A fixture spec with the same record shape as the presets (32-bit
 /// header, 32-bit PC field, 64-bit data field) but small tables, so the
-/// per-checkpoint predictor snapshots stay a few KB and the suite runs
-/// quickly in debug builds. Checkpoint behaviour is table-size-agnostic;
-/// the preset specs are exercised by the golden and pipeline suites.
+/// fresh banks every span builds cost little and the suite runs quickly
+/// in debug builds. Span behaviour is table-size-agnostic; the preset
+/// specs are exercised by the golden and pipeline suites.
 const SPEC: &str = "TCgen Trace Specification;\n\
     32-Bit Header;\n\
     32-Bit Field 1 = {L1 = 1, L2 = 64: LV[2], FCM1[2]};\n\
@@ -72,7 +74,7 @@ fn checkpointed_roundtrip_across_interval_and_thread_matrix() {
         for threads in [1usize, 4] {
             let engine = Engine::new(spec(), options(interval, threads));
             let packed = engine.compress(&raw).expect("compress");
-            assert_ne!(packed[5] & 0b0010_0000, 0, "checkpoint flag set");
+            assert_ne!(packed[5] & 0b0100_0000, 0, "span flag set");
             assert_eq!(
                 engine.decompress(&packed).expect("decompress"),
                 raw,
@@ -108,7 +110,7 @@ fn checkpointed_and_legacy_containers_decode_identically() {
 }
 
 /// A reader that returns at most 7 bytes per `read`, so record, block and
-/// checkpoint boundaries all straddle reads. Seeks pass through.
+/// span boundaries all straddle reads. Seeks pass through.
 struct ShortReads<R>(R);
 
 impl<R: Read> Read for ShortReads<R> {
@@ -127,8 +129,9 @@ impl<R: Seek> Seek for ShortReads<R> {
 /// Streaming compression emits byte-identical containers, checkpointed or
 /// not, for every backend and thread count — even fed 7 bytes per read —
 /// and every decode entry point (in-memory, streaming and, for
-/// checkpointed containers, a full-range seek) reads them back, skipping
-/// the checkpoint frames it doesn't need while verifying the footer.
+/// checkpointed containers, a full-range seek) reads them back,
+/// restarting the predictor banks at every span marker while verifying
+/// the footer.
 #[test]
 fn streaming_matches_in_memory_for_checkpointed_containers() {
     let raw = demo_trace(1_111);
@@ -295,8 +298,12 @@ fn inspect_reports_spans_and_record_ranges() {
         info.spans.iter().map(|s| (s.start_record, s.end_record)).collect::<Vec<_>>(),
         vec![(0, 500), (500, 1_000), (1_000, 1_200)]
     );
-    assert!(info.spans[0].checkpoint_offset.is_none());
-    assert!(info.spans[1].checkpoint_offset.is_some());
+    // Span 0's frames start after the prelude and the 4-byte header,
+    // every later span's at its span marker.
+    assert_eq!(info.spans[0].offset, 12 + 4);
+    for s in &info.spans[1..] {
+        assert_eq!(packed[s.offset as usize], 0x02, "span marker at {}", s.offset);
+    }
 
     // Legacy containers inspect too, just without a footer.
     let legacy = Engine::new(spec(), options(0, 1)).compress(&raw).expect("compress");
@@ -307,9 +314,9 @@ fn inspect_reports_spans_and_record_ranges() {
 }
 
 /// A whole-container decode is sequential at every thread count: the
-/// block decoder replays all 16 blocks on the calling thread, carrying
-/// the predictor state through both checkpoints, and no span is fanned
-/// out. The unpack pool is the only fan-out left.
+/// block decoder replays all 16 blocks on the calling thread, restarting
+/// the predictor banks at the span marker, and no span is fanned out.
+/// The unpack pool is the only fan-out left.
 #[test]
 fn checkpointed_containers_decode_sequentially_at_every_thread_count() {
     let raw = demo_trace(1_600); // 16 blocks of 100, checkpoints every 8
@@ -329,4 +336,152 @@ fn checkpointed_containers_decode_sequentially_at_every_thread_count() {
         assert!(report.stage("replay.span").is_none(), "threads {threads}: span jobs ran");
         assert!(report.pools.iter().all(|p| p.label != "span"), "threads {threads}: span pool");
     }
+}
+
+/// The container offset where the end marker sits: just before the
+/// footer in a container with spans, the last byte otherwise.
+fn end_marker_at(packed: &[u8]) -> usize {
+    if packed[5] & 0b0100_0000 != 0 {
+        footer_start(packed) - 1
+    } else {
+        packed.len() - 1
+    }
+}
+
+/// Spans really start fresh: for every Table 2 preset, backend and
+/// thread count, each span's block frames are byte-identical to the
+/// block frames of a plain container compressed from that span's
+/// records alone. Nothing of the state before a span leaks into it.
+#[test]
+fn every_span_is_a_fresh_plain_container() {
+    let raw = demo_trace(1_200); // 12 blocks of 100, a span every 4
+    let (header, body) = raw.split_at(4);
+    let record_len = spec().record_bytes() as usize;
+    let presets = [
+        EngineOptions::tcgen(),
+        EngineOptions::vpc3(),
+        EngineOptions::no_smart_update(),
+        EngineOptions::no_type_minimization(),
+        EngineOptions::no_shared_tables(),
+        EngineOptions::no_fast_hash(),
+        EngineOptions::all_deoptimized(),
+    ];
+    for (row, preset) in presets.into_iter().enumerate() {
+        for backend in [Backend::Max, Backend::Fast] {
+            for threads in [1usize, 4] {
+                let opts = EngineOptions {
+                    backend,
+                    checkpoint_blocks: 4,
+                    block_records: 100,
+                    threads,
+                    ..preset
+                };
+                let case = format!("preset {row}, {backend:?}, threads {threads}");
+                let packed = Engine::new(spec(), opts).compress(&raw).expect("compress");
+                let info = inspect(&mut Cursor::new(&packed)).expect("inspect");
+                assert_eq!(info.spans.len(), 3, "{case}");
+                let ends = info.spans[1..].iter().map(|s| s.offset as usize);
+                let ends = ends.chain([end_marker_at(&packed)]);
+                for (i, (span, end)) in info.spans.iter().zip(ends).enumerate() {
+                    // Every span but the first opens with its one-byte marker.
+                    let start = span.offset as usize + usize::from(i > 0);
+                    let records = span.start_record as usize..span.end_record as usize;
+                    let mut alone = header.to_vec();
+                    alone.extend_from_slice(
+                        &body[records.start * record_len..records.end * record_len],
+                    );
+                    let plain_opts = EngineOptions { checkpoint_blocks: 0, ..opts };
+                    let plain = Engine::new(spec(), plain_opts)
+                        .compress(&alone)
+                        .expect("plain compress");
+                    assert_eq!(
+                        packed[start..end],
+                        plain[16..end_marker_at(&plain)],
+                        "{case}: span {i} differs from its records compressed alone"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Flag bit 5 marked the retired snapshot-checkpoint layout. Every path
+/// that reads flags refuses it by name, on plain and on span containers.
+#[test]
+fn retired_snapshot_flag_is_refused_by_every_entry_point() {
+    let raw = demo_trace(600);
+    for interval in [0usize, 2] {
+        let opts = options(interval, 1);
+        let mut forged = Engine::new(spec(), opts).compress(&raw).expect("compress");
+        forged[5] |= 0b0010_0000;
+        let results = [
+            ("decompress", Engine::new(spec(), opts).decompress(&forged).map(drop)),
+            (
+                "decompress_stream",
+                decompress_stream(&spec(), &opts, &mut forged.as_slice(), &mut Vec::new())
+                    .map_err(|e| match e {
+                        StreamError::Codec(e) => e,
+                        other => panic!("decompress_stream: {other}"),
+                    }),
+            ),
+            (
+                "extract_range",
+                extract_range(&spec(), &opts, &mut Cursor::new(&forged), 0..10, None)
+                    .map(drop)
+                    .map_err(|e| match e {
+                        StreamError::Codec(e) => e,
+                        other => panic!("extract_range: {other}"),
+                    }),
+            ),
+            (
+                "inspect",
+                inspect(&mut Cursor::new(&forged)).map(drop).map_err(|e| match e {
+                    StreamError::Codec(e) => e,
+                    other => panic!("inspect: {other}"),
+                }),
+            ),
+        ];
+        for (entry, result) in results {
+            match result {
+                Err(Error::Corrupt(msg)) => assert!(
+                    msg.contains("retired snapshot checkpoints"),
+                    "interval {interval}, {entry}: {msg}"
+                ),
+                other => panic!("interval {interval}, {entry}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// `compress_with_usage` over a container with spans reports each
+/// table's largest span: its occupancy is the per-table maximum over the
+/// spans compressed alone, and — every span starting fresh — its code
+/// counts are their sums.
+#[test]
+fn usage_over_spans_reports_the_largest_span() {
+    let raw = demo_trace(1_200); // spans of 400 records
+    let (header, body) = raw.split_at(4);
+    let (_, report) =
+        Engine::new(spec(), options(4, 1)).compress_with_usage(&raw).expect("compress");
+    let mut expected = UsageReport::new(&spec());
+    for span in body.chunks(400 * spec().record_bytes() as usize) {
+        let alone = [header, span].concat();
+        let (_, part) =
+            Engine::new(spec(), options(0, 1)).compress_with_usage(&alone).expect("compress");
+        for (want, got) in expected.fields.iter_mut().zip(part.fields) {
+            for (count, add) in want.counts.iter_mut().zip(&got.counts) {
+                *count += add;
+            }
+            want.misses += got.misses;
+            want.table_bytes = got.table_bytes;
+            if want.occupancy.is_empty() {
+                want.occupancy = got.occupancy;
+            } else {
+                for (table, span_table) in want.occupancy.iter_mut().zip(&got.occupancy) {
+                    table.lines_written = table.lines_written.max(span_table.lines_written);
+                }
+            }
+        }
+    }
+    assert_eq!(report, expected);
 }

@@ -102,58 +102,6 @@ pub enum ReplayError {
     },
 }
 
-/// Version byte leading every [`FieldBank::snapshot`] encoding, bumped
-/// whenever the byte layout changes so stale checkpoints fail loudly.
-/// Version 2 is the compact encoding: never-touched table lines are
-/// skipped via the occupancy bitmaps instead of serialized as zeros.
-pub const SNAPSHOT_VERSION: u8 = 2;
-
-/// A predictor-state snapshot that cannot be restored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The snapshot was written by an unknown encoding version.
-    BadVersion {
-        /// The version byte found.
-        found: u8,
-    },
-    /// The snapshot's element width does not match this bank's.
-    WrongElement {
-        /// Element bits recorded in the snapshot.
-        found: u8,
-        /// Element bits this bank stores.
-        expected: u8,
-    },
-    /// The snapshot body is not exactly the bank's state size.
-    Length,
-    /// A restored fast-mode hash indexes outside its table.
-    HashOutOfRange,
-    /// An occupancy bitmap is inconsistent with the bank's table sizes
-    /// (wrong word count, or a bit set past the last line).
-    Occupancy,
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::BadVersion { found } => {
-                write!(f, "unknown snapshot version {found}")
-            }
-            SnapshotError::WrongElement { found, expected } => {
-                write!(f, "snapshot element width {found} does not match bank width {expected}")
-            }
-            SnapshotError::Length => write!(f, "snapshot length does not match bank state"),
-            SnapshotError::HashOutOfRange => {
-                write!(f, "snapshot hash state indexes outside its table")
-            }
-            SnapshotError::Occupancy => {
-                write!(f, "snapshot occupancy bitmap is inconsistent with the bank's tables")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
 /// All predictor state for one field, stored as element type `E`.
 ///
 /// Obtained through [`FieldBank::new`], which picks `E`; the methods here
@@ -972,184 +920,6 @@ impl<E: TableElement> TypedBank<E> {
             + self.stride_tables.iter().map(|t| t.memory_bytes()).sum::<usize>()
     }
 
-    /// Serializes this bank's state to `out` sparsely, little endian.
-    /// Tables are zero-initialized and a line only ever deviates from
-    /// zero after an update, and every update marks the line's occupancy
-    /// bit — so never-touched lines carry no information and are skipped
-    /// entirely. For the paper specs, where multi-megabyte hash tables
-    /// stay mostly empty for millions of records, this shrinks checkpoint
-    /// frames from the full table footprint to roughly the touched
-    /// working set.
-    ///
-    /// Layout: the L1 occupancy bitmap (raw `u64` words), then per
-    /// last-value table the touched L1 lines in ascending order, then per
-    /// FCM and DFCM bank its hash state for the touched L1 lines (4-byte
-    /// hashes in fast mode, 8-byte history otherwise) followed by each
-    /// second-level table's own occupancy bitmap and touched lines, then
-    /// per stride table the touched L1 lines' `(last, confirmed)` pairs.
-    /// Elements are written at the element width. Planning scratch is
-    /// excluded — it revalidates itself per column.
-    fn snapshot_into(&self, out: &mut Vec<u8>) {
-        let w = (E::BITS / 8) as usize;
-        fn put(out: &mut Vec<u8>, v: u64, w: usize) {
-            out.extend_from_slice(&v.to_le_bytes()[..w]);
-        }
-        fn put_bitmap(out: &mut Vec<u8>, occ: &Occupancy) {
-            for &word in occ.words() {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        }
-        // Every L1-indexed structure (last-value, hash state, stride)
-        // shares the one l1_occ map: update_line marks it before touching
-        // any of them.
-        let mut l1_lines = Vec::with_capacity(self.l1_occ.written() as usize);
-        self.l1_occ.for_each_set(|line| l1_lines.push(line));
-        put_bitmap(out, &self.l1_occ);
-        for t in &self.lv_tables {
-            for &line in &l1_lines {
-                for v in t.line(line) {
-                    put(out, v.to_u64(), w);
-                }
-            }
-        }
-        for bank in self.fcm_banks.iter().chain(&self.dfcm_banks) {
-            let (hashes, history) = bank.hash_state();
-            let depth = bank.max_order();
-            for &line in &l1_lines {
-                let start = line * depth;
-                if !hashes.is_empty() {
-                    for &h in &hashes[start..start + depth] {
-                        put(out, u64::from(h), 4);
-                    }
-                } else {
-                    for &h in &history[start..start + depth] {
-                        put(out, h, 8);
-                    }
-                }
-            }
-            for (t, table) in bank.tables().iter().enumerate() {
-                let occ = bank.occupancy(t);
-                put_bitmap(out, occ);
-                occ.for_each_set(|idx| {
-                    for v in table.table.line(idx) {
-                        put(out, v.to_u64(), w);
-                    }
-                });
-            }
-        }
-        for t in &self.stride_tables {
-            let vals = t.values();
-            for &line in &l1_lines {
-                put(out, vals[line * 2].to_u64(), w);
-                put(out, vals[line * 2 + 1].to_u64(), w);
-            }
-        }
-    }
-
-    /// The inverse of [`Self::snapshot_into`]: overwrites this bank's
-    /// state from `bytes`. All state is zeroed first (lines absent from
-    /// the snapshot must return to their construction defaults), values
-    /// are re-masked to the field width on the way in, occupancy bitmaps
-    /// are validated against the table sizes, and fast-mode hashes are
-    /// range-checked — so a forged snapshot can only yield wrong output,
-    /// never a panic.
-    fn restore_from(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let w = (E::BITS / 8) as usize;
-        let mask = self.mask;
-        let mut pos = 0usize;
-        fn read(bytes: &[u8], pos: &mut usize, w: usize) -> Result<u64, SnapshotError> {
-            let s = bytes.get(*pos..*pos + w).ok_or(SnapshotError::Length)?;
-            *pos += w;
-            let mut v = 0u64;
-            for (i, &b) in s.iter().enumerate() {
-                v |= u64::from(b) << (8 * i);
-            }
-            Ok(v)
-        }
-        /// Reads a bitmap into `occ` and returns its set lines, ascending.
-        fn read_bitmap(
-            bytes: &[u8],
-            pos: &mut usize,
-            occ: &mut Occupancy,
-        ) -> Result<Vec<usize>, SnapshotError> {
-            let mut words = Vec::with_capacity(occ.words().len());
-            for _ in 0..occ.words().len() {
-                words.push(read(bytes, pos, 8)?);
-            }
-            occ.set_from_words(&words).map_err(|_| SnapshotError::Occupancy)?;
-            let mut lines = Vec::with_capacity(occ.written() as usize);
-            occ.for_each_set(|line| lines.push(line));
-            Ok(lines)
-        }
-        for t in &mut self.lv_tables {
-            t.values_mut().fill(E::default());
-        }
-        for bank in self.fcm_banks.iter_mut().chain(self.dfcm_banks.iter_mut()) {
-            let (hashes, history) = bank.hash_state_mut();
-            hashes.fill(0);
-            history.fill(0);
-            for t in bank.tables_mut() {
-                t.table.values_mut().fill(E::default());
-            }
-        }
-        for t in &mut self.stride_tables {
-            t.values_mut().fill(E::default());
-        }
-        let l1_lines = read_bitmap(bytes, &mut pos, &mut self.l1_occ)?;
-        for t in &mut self.lv_tables {
-            let height = t.height();
-            let vals = t.values_mut();
-            for &line in &l1_lines {
-                for v in &mut vals[line * height..(line + 1) * height] {
-                    *v = E::from_u64(read(bytes, &mut pos, w)?) & mask;
-                }
-            }
-        }
-        for bank in self.fcm_banks.iter_mut().chain(self.dfcm_banks.iter_mut()) {
-            let depth = bank.max_order();
-            {
-                let (hashes, history) = bank.hash_state_mut();
-                for &line in &l1_lines {
-                    let start = line * depth;
-                    if !hashes.is_empty() {
-                        for h in &mut hashes[start..start + depth] {
-                            *h = read(bytes, &mut pos, 4)? as u32;
-                        }
-                    } else {
-                        for h in &mut history[start..start + depth] {
-                            *h = read(bytes, &mut pos, 8)?;
-                        }
-                    }
-                }
-            }
-            for t in 0..bank.table_count() {
-                let lines = read_bitmap(bytes, &mut pos, bank.occupancy_mut(t))?;
-                let table = &mut bank.tables_mut()[t].table;
-                let height = table.height();
-                let vals = table.values_mut();
-                for idx in lines {
-                    for v in &mut vals[idx * height..(idx + 1) * height] {
-                        *v = E::from_u64(read(bytes, &mut pos, w)?) & mask;
-                    }
-                }
-            }
-            if !bank.hash_indices_valid() {
-                return Err(SnapshotError::HashOutOfRange);
-            }
-        }
-        for t in &mut self.stride_tables {
-            let vals = t.values_mut();
-            for &line in &l1_lines {
-                vals[line * 2] = E::from_u64(read(bytes, &mut pos, w)?) & mask;
-                vals[line * 2 + 1] = E::from_u64(read(bytes, &mut pos, w)?) & mask;
-            }
-        }
-        if pos != bytes.len() {
-            return Err(SnapshotError::Length);
-        }
-        Ok(())
-    }
-
     /// Occupancy of every table: the shared L1 line space first, then
     /// each (D)FCM second-level table in predictor order.
     fn occupancy(&self) -> Vec<TableOccupancy> {
@@ -1368,49 +1138,6 @@ impl FieldBank {
     /// accumulate across every update this bank has seen.
     pub fn occupancy(&self) -> Vec<TableOccupancy> {
         dispatch!(self, b => b.occupancy())
-    }
-
-    /// Serializes this bank's complete predictor state — every table and
-    /// first-level hash slot — into a versioned byte encoding. A bank
-    /// built for the same field under the same options and handed the
-    /// snapshot via [`Self::restore`] continues modeling or replaying
-    /// exactly where this one stands.
-    ///
-    /// Layout: `[SNAPSHOT_VERSION, element_bits]` then the sparse state
-    /// body (see `TypedBank::snapshot_into`). The encoding skips
-    /// never-touched table lines via the occupancy bitmaps, so the length
-    /// grows with the touched working set, not the configured table
-    /// sizes.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = vec![SNAPSHOT_VERSION, self.element_bits() as u8];
-        dispatch!(self, b => b.snapshot_into(&mut out));
-        out
-    }
-
-    /// Restores state previously captured by [`Self::snapshot`] on an
-    /// identically configured bank.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown version byte, an element-width mismatch, a
-    /// body whose length does not match this bank's state, or fast-mode
-    /// hashes indexing outside their tables. Values are re-masked on the
-    /// way in, so a corrupted-but-well-formed snapshot yields wrong
-    /// output, never a panic.
-    pub fn restore(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
-        let [version, element, body @ ..] = snapshot else {
-            return Err(SnapshotError::Length);
-        };
-        if *version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::BadVersion { found: *version });
-        }
-        if u32::from(*element) != self.element_bits() {
-            return Err(SnapshotError::WrongElement {
-                found: *element,
-                expected: self.element_bits() as u8,
-            });
-        }
-        dispatch!(self, b => b.restore_from(body))
     }
 
     /// Test hook: forces the planned (two-pass / pipelined) modeling and
@@ -1880,8 +1607,8 @@ mod columnar_tests {
     }
 
     /// The pipelined replay schedule is invisible: identical output and
-    /// identical final predictor state (snapshot bytes) to the one-pass
-    /// loop, for every predictor kind and ablation option set. Unit-test
+    /// identical final predictor state (the codes and misses of one more
+    /// modeled column) to the one-pass loop, for every predictor kind and ablation option set. Unit-test
     /// tables are far below the planning threshold, so both paths are
     /// forced explicitly.
     #[test]
@@ -1909,9 +1636,16 @@ mod columnar_tests {
                 let mut b = Vec::new();
                 pipelined.replay_column(Some(&pcs), &codes, &misses, &mut b).unwrap();
                 assert_eq!(a, b, "outputs diverge: {}-bit {options:?}", field.bits);
+                // State is only ever used to predict, so the banks hold
+                // the same state when they model one more column alike.
+                let [probe_a, probe_b] = [&mut one_pass, &mut pipelined].map(|bank| {
+                    bank.force_plan(false);
+                    let (mut codes, mut misses) = (Vec::new(), Vec::new());
+                    bank.model_column(&pcs, &vals, &mut codes, &mut misses);
+                    (codes, misses)
+                });
                 assert_eq!(
-                    one_pass.snapshot(),
-                    pipelined.snapshot(),
+                    probe_a, probe_b,
                     "final state diverges: {}-bit {options:?}",
                     field.bits
                 );
@@ -1955,200 +1689,6 @@ mod columnar_tests {
             bank.replay_column(Some(&pcs), &codes, &extra, &mut Vec::new()),
             Err(ReplayError::TrailingValues { left: 1 })
         );
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-    use tcgen_spec::parse;
-
-    fn columns(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
-        let mut x = seed;
-        let mut pcs = Vec::with_capacity(n);
-        let mut vals = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            pcs.push(x >> 44);
-            vals.push(if i % 3 == 0 { x >> 8 } else { i * 8 + 5 });
-        }
-        (pcs, vals)
-    }
-
-    /// Fields covering every element width and every predictor kind,
-    /// alone and composed (declared as Field 2 so the L1 sizes are legal;
-    /// the PC field itself has to keep L1 = 1).
-    fn snapshot_specs() -> Vec<tcgen_spec::TraceSpec> {
-        [
-            "8-Bit Field 2 = {L1 = 16, L2 = 64: FCM2[2], DFCM1[1], ST[2], LV[2]};",
-            "16-Bit Field 2 = {L1 = 4, L2 = 128: DFCM3[2], LV[1]};",
-            "32-Bit Field 2 = {L1 = 64, L2 = 256: FCM1[1], FCM3[2], LV[3]};",
-            "64-Bit Field 2 = {L1 = 16, L2 = 256: DFCM2[2], FCM2[1], ST[3], LV[2]};",
-            "64-Bit Field 2 = {: LV[4]};",
-            "32-Bit Field 2 = {: ST[2], LV[1]};",
-        ]
-        .iter()
-        .map(|field| {
-            parse(&format!(
-                "TCgen Trace Specification;\n32-Bit Field 1 = {{: LV[1]}};\n{field}\n\
-                 PC = Field 1;"
-            ))
-            .unwrap()
-        })
-        .collect()
-    }
-
-    fn snapshot_option_sets() -> Vec<PredictorOptions> {
-        let d = PredictorOptions::default();
-        vec![
-            d,
-            PredictorOptions { fast_hash: false, ..d },
-            PredictorOptions { shared_tables: false, ..d },
-            PredictorOptions { minimal_elements: false, ..d },
-            PredictorOptions { policy: UpdatePolicy::Always, ..d },
-        ]
-    }
-
-    /// The checkpoint invariant: model N records, snapshot, restore into
-    /// a fresh bank — and both modeling and replay continue byte-for-byte
-    /// identically to the uninterrupted bank, for every element width,
-    /// predictor kind, and option set.
-    #[test]
-    fn snapshot_restore_continues_identically() {
-        let (pcs, vals) = columns(2_400, 0x0123_4567_89ab_cdef);
-        let split = 1_100;
-        for spec in snapshot_specs() {
-            let field = &spec.fields[1];
-            for options in snapshot_option_sets() {
-                // Model the first half, snapshot, and keep modeling.
-                let mut live = FieldBank::new(field, options);
-                let (mut c1, mut m1) = (Vec::new(), Vec::new());
-                live.model_column(&pcs[..split], &vals[..split], &mut c1, &mut m1);
-                let snap = live.snapshot();
-                let (mut live_codes, mut live_misses) = (Vec::new(), Vec::new());
-                live.model_column(
-                    &pcs[split..],
-                    &vals[split..],
-                    &mut live_codes,
-                    &mut live_misses,
-                );
-
-                // A restored bank models the second half identically.
-                let mut restored = FieldBank::new(field, options);
-                restored.restore(&snap).expect("snapshot restores");
-                let (mut codes, mut misses) = (Vec::new(), Vec::new());
-                restored.model_column(&pcs[split..], &vals[split..], &mut codes, &mut misses);
-                assert_eq!(codes, live_codes, "{}-bit {options:?}", field.bits);
-                assert_eq!(misses, live_misses, "{}-bit {options:?}", field.bits);
-
-                // And a restored bank replays the second half identically
-                // to an uninterrupted replay of the whole column.
-                let mut full = FieldBank::new(field, options);
-                let mut full_out = Vec::new();
-                let all_codes: Vec<u8> = c1.iter().chain(&live_codes).copied().collect();
-                let all_misses: Vec<u64> = m1.iter().chain(&live_misses).copied().collect();
-                full.replay_column(Some(&pcs), &all_codes, &all_misses, &mut full_out)
-                    .expect("full replay");
-                let mut resumed = FieldBank::new(field, options);
-                resumed.restore(&snap).expect("snapshot restores for replay");
-                let mut tail = Vec::new();
-                resumed
-                    .replay_column(Some(&pcs[split..]), &codes, &misses, &mut tail)
-                    .expect("resumed replay");
-                assert_eq!(tail, full_out[split..], "{}-bit {options:?}", field.bits);
-            }
-        }
-    }
-
-    /// The round-trip is exact — restore(snapshot()) reproduces the
-    /// identical bytes, touched lines and occupancy included — and the
-    /// sparse encoding earns its keep: a fresh bank's snapshot is just
-    /// headers and empty bitmaps, far below the table footprint, and a
-    /// lightly-used bank stays below the dense size.
-    #[test]
-    fn snapshots_roundtrip_bytewise() {
-        let (pcs, vals) = columns(800, 777);
-        for spec in snapshot_specs() {
-            let field = &spec.fields[1];
-            let options = PredictorOptions::default();
-            let mut bank = FieldBank::new(field, options);
-            let empty = bank.snapshot();
-            assert!(
-                empty.len() < bank.memory_bytes() / 4 + 64,
-                "an untouched bank must snapshot near-empty ({} bytes)",
-                empty.len()
-            );
-            let mut fresh = FieldBank::new(field, options);
-            fresh.restore(&empty).unwrap();
-            assert_eq!(fresh.snapshot(), empty);
-            bank.model_column(&pcs, &vals, &mut Vec::new(), &mut Vec::new());
-            let snap = bank.snapshot();
-            assert!(snap.len() > empty.len(), "touched lines must appear in the snapshot");
-            // Restoring over a *used* bank must also be exact: stale
-            // lines the snapshot does not mention return to zero.
-            let (pcs2, vals2) = columns(800, 31337);
-            let mut other = FieldBank::new(field, options);
-            other.model_column(&pcs2, &vals2, &mut Vec::new(), &mut Vec::new());
-            other.restore(&snap).unwrap();
-            assert_eq!(other.snapshot(), snap);
-        }
-    }
-
-    /// Malformed snapshots fail cleanly: bad version, wrong element
-    /// width, truncation, padding, and forged out-of-range hashes.
-    #[test]
-    fn corrupt_snapshots_are_rejected() {
-        let spec = parse(
-            "TCgen Trace Specification;\n32-Bit Field 1 = {: LV[1]};\n\
-             32-Bit Field 2 = {L1 = 4, L2 = 64: FCM2[1], LV[1]};\nPC = Field 1;",
-        )
-        .unwrap();
-        let (pcs, vals) = columns(300, 99);
-        let mut bank = FieldBank::new(&spec.fields[1], PredictorOptions::default());
-        bank.model_column(&pcs, &vals, &mut Vec::new(), &mut Vec::new());
-        let snap = bank.snapshot();
-
-        let mut target = FieldBank::new(&spec.fields[1], PredictorOptions::default());
-        let mut bad = snap.clone();
-        bad[0] = SNAPSHOT_VERSION + 1;
-        assert_eq!(
-            target.restore(&bad),
-            Err(SnapshotError::BadVersion { found: SNAPSHOT_VERSION + 1 })
-        );
-        let mut bad = snap.clone();
-        bad[1] = 64;
-        assert_eq!(
-            target.restore(&bad),
-            Err(SnapshotError::WrongElement { found: 64, expected: 32 })
-        );
-        assert_eq!(target.restore(&snap[..snap.len() - 1]), Err(SnapshotError::Length));
-        let mut bad = snap.clone();
-        bad.push(0);
-        assert_eq!(target.restore(&bad), Err(SnapshotError::Length));
-        assert_eq!(target.restore(&[]), Err(SnapshotError::Length));
-
-        // A stray occupancy bit past the last L1 line (L1 = 4, so bits
-        // 4..63 of the bitmap's first word must stay clear).
-        let mut bad = snap.clone();
-        bad[2] |= 0x10;
-        assert_eq!(target.restore(&bad), Err(SnapshotError::Occupancy));
-
-        // Forge every hash slot out of range: L2 = 64 and order 2 give
-        // 128 lines, so u32::MAX can never be a valid index.
-        let touched = bank.occupancy()[0].lines_written as usize;
-        assert!(touched > 0, "test needs at least one touched L1 line");
-        let mut forged = snap.clone();
-        // Hash state sits after the 2-byte header, the one-word L1 bitmap
-        // (8 bytes), and the sparse LV table (touched lines × 1 × 4-byte
-        // element); it holds touched lines × 2 orders × 4 bytes.
-        let hash_start = 2 + 8 + touched * 4;
-        for b in &mut forged[hash_start..hash_start + touched * 2 * 4] {
-            *b = 0xff;
-        }
-        assert_eq!(target.restore(&forged), Err(SnapshotError::HashOutOfRange));
-        // The failed restores never corrupted the bank into a panic.
-        let mut out = Vec::new();
-        bank.predict_into(pcs[0], &mut out);
     }
 }
 

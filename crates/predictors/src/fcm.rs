@@ -301,61 +301,6 @@ impl<E: TableElement> ContextBank<E> {
         self.tables.iter().map(|t| t.table.memory_bytes()).sum()
     }
 
-    /// The first-level hash state as `(hashes, history)`; exactly one of
-    /// the slices is non-empty, depending on the fast-hash mode. This is
-    /// the serialization surface for checkpoint snapshots.
-    pub fn hash_state(&self) -> (&[u32], &[u64]) {
-        (&self.hashes, &self.history)
-    }
-
-    /// Mutable view of the first-level hash state, for snapshot restore.
-    pub fn hash_state_mut(&mut self) -> (&mut [u32], &mut [u64]) {
-        (&mut self.hashes, &mut self.history)
-    }
-
-    /// The second-level tables, in table order.
-    pub fn tables(&self) -> &[OrderTable<E>] {
-        &self.tables
-    }
-
-    /// Mutable view of the second-level tables, for snapshot restore.
-    pub fn tables_mut(&mut self) -> &mut [OrderTable<E>] {
-        &mut self.tables
-    }
-
-    /// Whether every stored fast-mode hash indexes within its table — a
-    /// restore-time guard: a forged snapshot with out-of-range hashes
-    /// would otherwise panic on the first probe. Scratch-mode banks
-    /// recompute indices from the history, which lands in range by
-    /// construction, so they always validate.
-    pub fn hash_indices_valid(&self) -> bool {
-        if !self.fast_hash {
-            return true;
-        }
-        let lines = self.hashes.len() / self.max_order;
-        (0..lines).all(|line| {
-            self.tables.iter().all(|t| {
-                let idx = self.hashes[line * self.max_order + (t.order as usize - 1)];
-                (idx as usize) < t.table.lines()
-            })
-        })
-    }
-
-    /// Depth of the first-level hash state (hash words per L1 line).
-    pub fn max_order(&self) -> usize {
-        self.max_order
-    }
-
-    /// The lines-ever-written map of second-level table `t`.
-    pub fn occupancy(&self, t: usize) -> &Occupancy {
-        &self.occ[t]
-    }
-
-    /// Mutable view of table `t`'s occupancy map, for snapshot restore.
-    pub fn occupancy_mut(&mut self, t: usize) -> &mut Occupancy {
-        &mut self.occ[t]
-    }
-
     /// Per-table occupancy: `(order, lines_written, lines_total)` in
     /// table order.
     pub fn occupancies(&self) -> Vec<(u32, u64, u64)> {

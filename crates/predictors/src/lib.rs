@@ -48,10 +48,7 @@ pub mod policy;
 pub mod stride;
 pub mod table;
 
-pub use bank::{
-    FieldBank, PredictorOptions, ReplayError, SnapshotError, SpecBanks, TypedBank,
-    SNAPSHOT_VERSION,
-};
+pub use bank::{FieldBank, PredictorOptions, ReplayError, SpecBanks, TypedBank};
 pub use candidates::{predictor_candidates, CandidateSpace};
 pub use element::TableElement;
 pub use fcm::ContextBank;

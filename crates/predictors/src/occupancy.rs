@@ -42,61 +42,6 @@ impl Occupancy {
         self.written
     }
 
-    /// Whether line `idx` has ever been written.
-    #[inline]
-    pub fn is_set(&self, idx: usize) -> bool {
-        self.bits[idx >> 6] & (1u64 << (idx & 63)) != 0
-    }
-
-    /// The raw bitmap words (64 lines per word, LSB-first), for snapshot
-    /// serialization.
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Replaces the bitmap with `words` (as produced by [`Self::words`])
-    /// and recomputes the written count.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if the word count does not match the table size or a
-    /// bit beyond the last line is set.
-    pub fn set_from_words(&mut self, words: &[u64]) -> Result<(), String> {
-        if words.len() != self.bits.len() {
-            return Err(format!(
-                "occupancy bitmap holds {} words, expected {}",
-                words.len(),
-                self.bits.len()
-            ));
-        }
-        let tail_lines = (self.lines % 64) as u32;
-        if tail_lines != 0 {
-            let stray = words[words.len() - 1] & !((1u64 << tail_lines) - 1);
-            if stray != 0 {
-                return Err(format!(
-                    "occupancy bitmap marks lines past the last ({})",
-                    self.lines
-                ));
-            }
-        }
-        self.bits.copy_from_slice(words);
-        self.written = words.iter().map(|w| u64::from(w.count_ones())).sum();
-        Ok(())
-    }
-
-    /// Calls `f` with the index of every written line, in ascending order.
-    #[inline]
-    pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.bits.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                f((wi << 6) | bit);
-                w &= w - 1;
-            }
-        }
-    }
-
     /// Total lines in the table.
     pub fn lines(&self) -> u64 {
         self.lines
@@ -182,27 +127,6 @@ mod tests {
         occ.mark(0);
         assert_eq!(occ.written(), 1);
         assert_eq!(occ.lines(), 1);
-    }
-
-    #[test]
-    fn words_roundtrip_and_reject_stray_bits() {
-        let mut occ = Occupancy::new(70);
-        occ.mark(3);
-        occ.mark(69);
-        let words: Vec<u64> = occ.words().to_vec();
-        let mut fresh = Occupancy::new(70);
-        fresh.set_from_words(&words).unwrap();
-        assert_eq!(fresh.written(), 2);
-        assert!(fresh.is_set(3) && fresh.is_set(69) && !fresh.is_set(4));
-        let mut set = Vec::new();
-        fresh.for_each_set(|i| set.push(i));
-        assert_eq!(set, vec![3, 69]);
-        // Stray bit past line 69 (bit 6 of word 1) must be rejected.
-        let mut bad = words.clone();
-        bad[1] |= 1 << 7;
-        assert!(fresh.set_from_words(&bad).is_err());
-        // Wrong word count must be rejected.
-        assert!(fresh.set_from_words(&words[..1]).is_err());
     }
 
     #[test]

@@ -51,17 +51,6 @@ impl<E: TableElement> StrideTable<E> {
     pub fn memory_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<E>()
     }
-
-    /// The interleaved `[last_stride, confirmed_stride]` pairs — the
-    /// serialization surface for checkpoint snapshots.
-    pub fn values(&self) -> &[E] {
-        &self.values
-    }
-
-    /// Mutable view of the interleaved pairs, for snapshot restore.
-    pub fn values_mut(&mut self) -> &mut [E] {
-        &mut self.values
-    }
 }
 
 #[cfg(test)]

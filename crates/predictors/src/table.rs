@@ -31,11 +31,6 @@ impl<E: TableElement> ValueTable<E> {
         self.height
     }
 
-    /// Number of lines.
-    pub fn lines(&self) -> usize {
-        self.values.len() / self.height
-    }
-
     /// The values of `line`, most recent first.
     #[inline]
     pub fn line(&self, line: usize) -> &[E] {
@@ -90,17 +85,6 @@ impl<E: TableElement> ValueTable<E> {
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<E>()
-    }
-
-    /// All values, line-major — the serialization surface for checkpoint
-    /// snapshots.
-    pub fn values(&self) -> &[E] {
-        &self.values
-    }
-
-    /// Mutable view of all values, line-major, for snapshot restore.
-    pub fn values_mut(&mut self) -> &mut [E] {
-        &mut self.values
     }
 }
 

@@ -72,11 +72,10 @@ pub fn inspect_json(info: &ContainerInfo) -> String {
         if i > 0 {
             spans.push(',');
         }
-        let ckpt = s.checkpoint_offset.map_or("null".to_string(), |off| off.to_string());
         spans.push_str(&format!(
             "\n    {{\"first_block\": {}, \"end_block\": {}, \"start_record\": {}, \
-             \"end_record\": {}, \"checkpoint_offset\": {ckpt}}}",
-            s.first_block, s.end_block, s.start_record, s.end_record
+             \"end_record\": {}, \"offset\": {}}}",
+            s.first_block, s.end_block, s.start_record, s.end_record, s.offset
         ));
     }
     let opt = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());

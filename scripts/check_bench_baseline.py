@@ -15,8 +15,9 @@ The `TCgen-fast` and `TCgen-balanced` profile rows are the exception:
 their backends are free to improve their encodings, so their sizes are
 reported but not enforced. Only the default `--profile max` container
 (the `TCgen` row) is golden-pinned. The `checkpoint_speed` object is
-likewise informational: checkpointed containers carry predictor-state
-snapshots whose sizes and timings may evolve freely.
+likewise informational: checkpointed containers restart their
+predictors at every span, so their sizes and timings depend on the
+span layout, which may evolve freely.
 
 The --tune-report mode summarizes a `tcgen tune --json` report instead:
 it prints the tuned-vs-default compressed-size ratio and the evaluation
@@ -136,10 +137,10 @@ def profile_speed(baseline_path, path):
 def checkpoint_speed(path):
     """Prints the checkpointed-container rows, if recorded.
 
-    Informational only: checkpointed sizes include predictor-state
-    snapshots whose encodings are free to evolve, and decompression
-    wall times depend on the runner's core count. Only the
-    non-checkpointed max-profile rows in `results` are golden-pinned.
+    Informational only: checkpointed sizes depend on the span layout,
+    which is free to evolve, and decompression wall times depend on the
+    runner's core count. Only the non-checkpointed max-profile rows in
+    `results` are golden-pinned.
     """
     with open(path) as f:
         speed = json.load(f).get("checkpoint_speed")
