@@ -40,7 +40,7 @@
 //! span starts from fresh predictor banks, on the writer and on every
 //! reader alike, so [`crate::extract_range`] replays only the span
 //! covering a record range; a whole-container decode replays every span
-//! in order, rebuilding the banks at each span marker.
+//! in order, resetting the banks in place at each span marker.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -82,7 +82,7 @@ pub fn raw_streams(
     raw: &[u8],
 ) -> Result<Vec<Vec<u8>>, Error> {
     let header_len = whole_records(spec, raw)?;
-    let mut modeler = Modeler::new(spec, options);
+    let mut modeler = Modeler::new(spec, options, None);
     let mut streams = BlockStreams::new(spec.fields.len());
     modeler.model_chunk(&raw[header_len..], &mut streams, &mut None);
     Ok(streams.fields.into_iter().flat_map(|fs| [fs.codes, fs.values]).collect())
@@ -118,8 +118,8 @@ pub fn replay_streams(
     let mut pairs = streams.into_iter();
     let (codes, values): (Vec<_>, Vec<_>) =
         std::iter::from_fn(|| Some((pairs.next()?, pairs.next()?))).unzip();
-    let mut out = Vec::new();
-    Replayer::new(spec, options).replay_block(codes[0].len(), &codes, &values, &mut out)?;
+    let (mut replayer, mut out) = (Replayer::new(spec, options), Vec::new());
+    replayer.replay_block(codes[0].len(), &codes, &values, &mut out, None)?;
     Ok(out)
 }
 
@@ -219,7 +219,7 @@ impl<'a, W: Write> BlockWriter<'a, W> {
         let mut writer = Self {
             out,
             pos: 0,
-            modeler: Modeler::new(spec, options),
+            modeler: Modeler::new(spec, options, tel),
             streams: BlockStreams::new(spec.fields.len()),
             pack,
             footer: (options.checkpoint_blocks > 0).then(Footer::default),
@@ -255,7 +255,7 @@ impl<'a, W: Write> BlockWriter<'a, W> {
             {
                 // Before the block's first record is modeled, so that a
                 // reader starts the block from fresh banks too.
-                self.modeler.start_span(&mut self.usage);
+                self.modeler.start_span(&mut self.usage, self.tel);
                 self.opens_span = true;
             }
             let room = self.block_records - self.streams.records;
@@ -387,6 +387,24 @@ impl<'a, W: Write> BlockWriter<'a, W> {
     }
 }
 
+/// Most record bytes that [`crate::Engine::compress`] and
+/// [`crate::Engine::decompress`] pack or unpack on the calling thread,
+/// whatever `threads` says, when they fit in one block. The pool then
+/// has only that block's segments to run side by side, and below this
+/// size starting it costs more than that saves. Measured on TCGEN_A
+/// one-block traces, 2-vCPU VM: at 420–516 KB inline ran 12–47% faster
+/// when the host stole 10–14% of the CPU and within 5% of the pool when
+/// it stole 4%; at 2.4 MB the pool compressed 10–12% faster every time.
+const INLINE_BLOCK_BYTES: usize = 1 << 19;
+
+/// `options` with one thread for a call of `blocks` blocks and `bytes`
+/// record bytes that runs inline (see [`INLINE_BLOCK_BYTES`]); such a
+/// call starts no pool and never resolves `threads: 0`.
+fn sized_threads(options: &EngineOptions, blocks: usize, bytes: usize) -> EngineOptions {
+    let inline = blocks <= 1 && bytes <= INLINE_BLOCK_BYTES;
+    EngineOptions { threads: if inline { 1 } else { options.threads }, ..*options }
+}
+
 /// [`crate::Engine::compress`]: the whole input slice goes to the block
 /// writer as it is, and the container comes back as a vector.
 pub(crate) fn compress_slice(
@@ -398,10 +416,13 @@ pub(crate) fn compress_slice(
     let tel = engine.telemetry.as_ref();
     let _op_span = driver_span(tel, "compress");
     let out = Vec::with_capacity(raw.len() / 8 + 64);
+    let spec = &engine.spec;
+    let records = body.len() / spec.record_bytes() as usize;
+    let blocks = records.div_ceil(engine.options.effective_block_records());
+    let options = sized_threads(&engine.options, blocks, body.len());
     let run = || {
-        let (spec, options) = (&engine.spec, &engine.options);
         let mut writer =
-            BlockWriter::new(spec, options, engine.spec_hash, header, out, usage, tel)?;
+            BlockWriter::new(spec, &options, engine.spec_hash, header, out, usage, tel)?;
         writer.push(body)?;
         writer.finish()
     };
@@ -483,7 +504,7 @@ pub(crate) struct BlockDecoder<'a> {
     unpack: Unpack,
     /// Most blocks inflating at once, the one replaying included.
     ahead: usize,
-    /// Driver-track spans; off in seeks.
+    /// Driver-track spans and table set-up counts; off in seeks.
     tel: Option<&'a Recorder>,
 }
 
@@ -563,11 +584,11 @@ impl<'a> BlockDecoder<'a> {
                 stream.push(segment.map_err(Error::Post)?);
             }
             if block.opens_span {
-                replayer.start_span();
+                replayer.start_span(self.tel);
             }
             {
                 let _s = driver_span(self.tel, "replay.block");
-                replayer.replay_block(block.n_records, &codes, &values, out)?;
+                replayer.replay_block(block.n_records, &codes, &values, out, self.tel)?;
             }
             emit(out)?;
         }
@@ -621,8 +642,9 @@ pub(crate) fn decompress_slice(engine: &Engine, packed: &[u8]) -> Result<Vec<u8>
         })?;
         out.extend_from_slice(&header);
         let mut replayer = Replayer::new(spec, &effective);
-        let blocks = blocks.into_iter().map(Ok);
-        BlockDecoder::new(&effective, tel).run(&mut replayer, blocks, &mut out, |_| Ok(()))?;
+        let sized = sized_threads(&effective, blocks.len(), out_len - header.len());
+        let mut decoder = BlockDecoder::new(&sized, tel);
+        decoder.run(&mut replayer, blocks.into_iter().map(Ok), &mut out, |_| Ok(()))?;
         if let Some(c) = &counters {
             c.bytes_in.add(packed.len() as u64);
             c.bytes_out.add(out.len() as u64);

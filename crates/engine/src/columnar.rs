@@ -19,9 +19,30 @@
 //! must be fully decoded before the other fields can resolve their table
 //! lines, and the block's code and value streams are already in memory
 //! anyway.
+//!
+//! ## Table sets outlive the call
+//!
+//! Every call and every span starts from the state `FieldBank::new`
+//! builds, but it need not build it: TCGEN_A's tables take about 20 MB,
+//! and allocating and zeroing them cost more than modeling a small trace
+//! (the paper's generated compressor keeps its tables in `static` arrays
+//! for the same reason). Each thread therefore keeps the last bank set
+//! its [`Modeler`] or [`Replayer`] finished with, tagged with the fields
+//! and predictor options it was built for. The next modeler or replayer
+//! on that thread whose tag matches takes the set and resets it with
+//! `FieldBank::reset`, which clears only the lines the occupancy maps
+//! mark; any other tag frees the parked set and builds a new one. A span
+//! start resets the set in place. A thread holds at most one idle set,
+//! never shares it, and frees it when it exits or calls
+//! [`drop_idle_tables`]. Set-up runs under a `tables.setup` driver span
+//! and counts into `tables.built` or `tables.reused` on the call's
+//! recorder; a seek, which opens no driver spans, reports neither.
+
+use std::cell::RefCell;
 
 use tcgen_predictors::{FieldBank, PredictorOptions, ReplayError};
 use tcgen_spec::{FieldSpec, TraceSpec};
+use tcgen_telemetry::{driver_span, Recorder, SpanGuard};
 
 use crate::options::EngineOptions;
 use crate::streams::{field_offsets, read_value, write_value, BlockStreams};
@@ -32,6 +53,43 @@ use crate::Error;
 /// per record) stays cache-friendly.
 pub(crate) const COLUMN_CHUNK_RECORDS: usize = 1 << 16;
 
+/// An idle bank set and the fields and options it was built for.
+struct Parked {
+    fields: Vec<FieldSpec>,
+    predictor: PredictorOptions,
+    banks: Vec<FieldBank>,
+}
+
+thread_local! {
+    /// The bank set this thread's last modeler or replayer finished
+    /// with, not yet reset.
+    static PARKED: RefCell<Option<Parked>> = const { RefCell::new(None) };
+}
+
+/// Frees the bank set the calling thread keeps idle between calls, if
+/// any. A thread that makes no further engine call, such as a per-job
+/// worker, calls this to return the memory at once instead of when it
+/// exits.
+pub fn drop_idle_tables() {
+    let _ = PARKED.try_with(|slot| slot.borrow_mut().take());
+}
+
+/// Starts a `tables.setup` span and counts one set `tables.built` or
+/// `tables.reused`.
+fn setup_probe<'a>(tel: Option<&'a Recorder>, counter: &'static str) -> Option<SpanGuard<'a>> {
+    let span = driver_span(tel, "tables.setup");
+    if let Some(rec) = tel {
+        rec.counter(counter).add(1);
+    }
+    span
+}
+
+/// Resets `banks` in place to the state `FieldBank::new` builds.
+fn reset_banks(banks: &mut [FieldBank], tel: Option<&Recorder>) {
+    let _s = setup_probe(tel, "tables.reused");
+    banks.iter_mut().for_each(FieldBank::reset);
+}
+
 /// Per-record layout shared by the modeler and the replayer.
 struct Layout {
     offsets: Vec<usize>,
@@ -40,7 +98,7 @@ struct Layout {
     widths: Vec<usize>,
     pc_index: usize,
     record_len: usize,
-    /// What every span's fresh banks are built from.
+    /// What the bank set is built from, and the tag it is parked under.
     fields: Vec<FieldSpec>,
     predictor: PredictorOptions,
 }
@@ -66,12 +124,35 @@ impl Layout {
         self.offsets.len()
     }
 
-    /// Fills `banks` with freshly built banks, one per field. The old set
-    /// is dropped first, so a call never holds two table sets (TCGEN_A's
-    /// is about 20 MB).
-    fn fresh_banks(&self, banks: &mut Vec<FieldBank>) {
-        banks.clear();
-        banks.extend(self.fields.iter().map(|f| FieldBank::new(f, self.predictor)));
+    /// A fresh bank set, one bank per field: the thread's parked set,
+    /// reset, when its tag matches this layout, else a new one. A parked
+    /// set that does not match is freed before the new one is built, so
+    /// a call never allocates a set beside an idle one.
+    fn take_banks(&self, tel: Option<&Recorder>) -> Vec<FieldBank> {
+        let parked = PARKED.try_with(|slot| slot.borrow_mut().take()).ok().flatten();
+        match parked {
+            Some(mut p) if p.fields == self.fields && p.predictor == self.predictor => {
+                reset_banks(&mut p.banks, tel);
+                p.banks
+            }
+            other => {
+                drop(other);
+                let _s = setup_probe(tel, "tables.built");
+                self.fields.iter().map(|f| FieldBank::new(f, self.predictor)).collect()
+            }
+        }
+    }
+
+    /// Parks `banks`, dirty, as the thread's idle set in place of any
+    /// parked before; the next taker resets it. Nothing is parked while
+    /// the thread unwinds or exits.
+    fn park(&mut self, banks: Vec<FieldBank>) {
+        if banks.is_empty() || std::thread::panicking() {
+            return;
+        }
+        let fields = std::mem::take(&mut self.fields);
+        let parked = Parked { fields, predictor: self.predictor, banks };
+        let _ = PARKED.try_with(|slot| *slot.borrow_mut() = Some(parked));
     }
 }
 
@@ -88,11 +169,19 @@ pub(crate) struct Modeler {
 }
 
 impl Modeler {
-    pub(crate) fn new(spec: &TraceSpec, options: &EngineOptions) -> Self {
+    /// A modeler starting from fresh banks (see the module docs).
+    pub(crate) fn new(
+        spec: &TraceSpec,
+        options: &EngineOptions,
+        tel: Option<&Recorder>,
+    ) -> Self {
         let layout = Layout::new(spec, options);
-        let mut banks = Vec::new();
-        layout.fresh_banks(&mut banks);
-        Self { banks, cols: vec![Vec::new(); layout.n_fields()], layout, miss_buf: Vec::new() }
+        Self {
+            banks: layout.take_banks(tel),
+            cols: vec![Vec::new(); layout.n_fields()],
+            layout,
+            miss_buf: Vec::new(),
+        }
     }
 
     /// Copies each bank's value-table footprint and table occupancy into
@@ -112,13 +201,17 @@ impl Modeler {
         }
     }
 
-    /// Starts a span: every bank restarts from fresh state, after its
-    /// table occupancy is folded into `usage`.
-    pub(crate) fn start_span(&mut self, usage: &mut Option<&mut UsageReport>) {
+    /// Starts a span: every bank is reset to fresh state in place, after
+    /// its table occupancy is folded into `usage`.
+    pub(crate) fn start_span(
+        &mut self,
+        usage: &mut Option<&mut UsageReport>,
+        tel: Option<&Recorder>,
+    ) {
         if let Some(u) = usage.as_deref_mut() {
             self.record_table_stats(u);
         }
-        self.layout.fresh_banks(&mut self.banks);
+        reset_banks(&mut self.banks, tel);
     }
 
     /// Models `chunk` (whole records) into `streams`, incrementing its
@@ -172,6 +265,12 @@ impl Modeler {
     }
 }
 
+impl Drop for Modeler {
+    fn drop(&mut self) {
+        self.layout.park(std::mem::take(&mut self.banks));
+    }
+}
+
 /// Translates a bank-level replay error (in miss-value units) into the
 /// container-level message (in bytes), folding in any partial trailing
 /// value the byte stream carried.
@@ -204,7 +303,7 @@ fn map_replay(
 /// block decoder ([`crate::codec`]) drives it for every decode entry
 /// point.
 pub(crate) struct Replayer {
-    /// Empty until the span's first block replays.
+    /// Empty until the first block replays.
     banks: Vec<FieldBank>,
     layout: Layout,
     /// Reusable decoded-value columns, one per field.
@@ -215,7 +314,7 @@ pub(crate) struct Replayer {
 
 impl Replayer {
     /// `options` must already carry the container's semantic flags (see
-    /// [`EngineOptions::with_flags`]).
+    /// [`EngineOptions::with_flags`]); the bank set is keyed by them.
     pub(crate) fn new(spec: &TraceSpec, options: &EngineOptions) -> Self {
         let layout = Layout::new(spec, options);
         Self {
@@ -233,10 +332,14 @@ impl Replayer {
         &self.layout.widths
     }
 
-    /// Starts a span: the banks are dropped, and the next block replays
-    /// from freshly built ones.
-    pub(crate) fn start_span(&mut self) {
-        self.banks.clear();
+    /// Starts a span: the next block replays from fresh banks. A set is
+    /// taken fresh at the first block, and every span holds a block, so
+    /// a set taken already has replayed since it was fresh. `tel`, as
+    /// for [`Self::replay_block`], reports a reset.
+    pub(crate) fn start_span(&mut self, tel: Option<&Recorder>) {
+        if !self.banks.is_empty() {
+            reset_banks(&mut self.banks, tel);
+        }
     }
 
     /// Replays one block, appending reconstructed records to `out`.
@@ -244,13 +347,15 @@ impl Replayer {
     /// Verifies that every code stream holds exactly `n_records` codes
     /// *before* sizing any column, that no value stream runs dry, and —
     /// trailing-garbage hardening — that every value stream is consumed
-    /// exactly to its end.
+    /// exactly to its end. `tel`, when given, reports taking the bank set
+    /// at the first block.
     pub(crate) fn replay_block(
         &mut self,
         n_records: usize,
         codes: &[Vec<u8>],
         values: &[Vec<u8>],
         out: &mut Vec<u8>,
+        tel: Option<&Recorder>,
     ) -> Result<(), Error> {
         for (fi, c) in codes.iter().enumerate() {
             if c.len() != n_records {
@@ -262,7 +367,7 @@ impl Replayer {
         }
         let Self { banks, layout, cols, miss_buf, record } = self;
         if banks.is_empty() {
-            layout.fresh_banks(banks);
+            *banks = layout.take_banks(tel);
         }
         let pc = layout.pc_index;
         let mut replay = |fi: usize, pcs: Option<&[u64]>, col: &mut Vec<u64>| {
@@ -297,5 +402,11 @@ impl Replayer {
             out.extend_from_slice(record);
         }
         Ok(())
+    }
+}
+
+impl Drop for Replayer {
+    fn drop(&mut self) {
+        self.layout.park(std::mem::take(&mut self.banks));
     }
 }

@@ -42,6 +42,7 @@ pub use codec::{
     compress_stream, compress_stream_with_telemetry, decompress_stream,
     decompress_stream_with_telemetry,
 };
+pub use columnar::drop_idle_tables;
 pub use evaluate::{score_candidates, score_candidates_with_telemetry, CandidateScore};
 pub use options::EngineOptions;
 pub use pool::with_job_priority;
@@ -184,8 +185,14 @@ impl From<Error> for StreamError {
 /// A trace compressor/decompressor for one specification.
 ///
 /// The engine is stateless across calls: each [`Engine::compress`] or
-/// [`Engine::decompress`] starts from freshly zeroed predictor tables, so
-/// one engine can serve many traces.
+/// [`Engine::decompress`] starts from zeroed predictor tables, so one
+/// engine can serve many traces, from any number of threads. The tables
+/// belong to the calling thread, not the engine: a thread keeps the set
+/// its last call used and resets it in place — clearing only the lines
+/// that call wrote — for its next call with the same specification and
+/// predictor options, instead of allocating a new one. A thread holds at
+/// most one idle set and frees it when it exits, or at
+/// [`drop_idle_tables`].
 #[derive(Debug, Clone)]
 pub struct Engine {
     spec: TraceSpec,

@@ -746,32 +746,29 @@ mod tests {
 
     #[test]
     fn priority_orders_queued_tasks_across_jobs() {
-        // A private 1-worker pool makes scheduling fully deterministic:
-        // block the worker, queue a low- and a high-priority task, then
-        // release — the high-priority task must run first.
-        let pool = SharedPool::new();
-        let gate = pool.job(JobConfig { priority: 0, max_parallel: 1, capacity: 4 });
-        let low = pool.job(JobConfig { priority: 1, max_parallel: 1, capacity: 4 });
-        let high = pool.job(JobConfig { priority: 9, max_parallel: 1, capacity: 4 });
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (done_tx, done_rx) = mpsc::channel::<&'static str>();
-        gate.submit(Box::new(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        }));
-        started_rx.recv().unwrap();
-        for (job, tag) in [(&low, "low"), (&high, "high")] {
-            let done_tx = done_tx.clone();
-            job.submit(Box::new(move || {
-                done_tx.send(tag).unwrap();
-            }));
-        }
-        release_tx.send(()).unwrap();
-        let order = [done_rx.recv().unwrap(), done_rx.recv().unwrap()];
-        drop(gate);
-        drop(low);
-        drop(high);
+        // The scheduler's choice itself, with no worker thread to race
+        // it: a gate job at its one-task cap, then a low- and a
+        // high-priority task queued behind it. The high-priority task is
+        // taken first, and the gate job is never eligible.
+        let job = |id, priority, inflight, queued: usize| Job {
+            id,
+            priority,
+            max_parallel: 1,
+            capacity: 4,
+            queue: (0..queued).map(|_| Box::new(|| {}) as Task).collect(),
+            inflight,
+        };
+        let mut st = PoolState {
+            jobs: vec![job(0, 0, 1, 0), job(1, 1, 0, 1), job(2, 9, 0, 1)],
+            next_job: 3,
+            workers: 1,
+            shutdown: false,
+            rr: 0,
+        };
+        let tags = ["gate", "low", "high"];
+        let order: Vec<&str> = std::iter::from_fn(|| take_task(&mut st))
+            .map(|(id, _)| tags[id as usize])
+            .collect();
         assert_eq!(order, ["high", "low"]);
     }
 

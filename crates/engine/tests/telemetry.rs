@@ -4,8 +4,8 @@
 
 use tcgen_engine::telemetry::json;
 use tcgen_engine::{
-    compress_stream_with_telemetry, decompress_stream_with_telemetry, Engine, EngineOptions,
-    Recorder,
+    compress_stream_with_telemetry, decompress_stream_with_telemetry, Backend, Engine,
+    EngineOptions, Recorder,
 };
 use tcgen_spec::{parse, presets, TraceSpec};
 
@@ -183,4 +183,63 @@ fn engine_without_recorder_stays_unobserved() {
     assert!(plain.telemetry().is_none());
     let packed = plain.compress(&raw).expect("compress");
     assert_eq!(plain.decompress(&packed).expect("decompress"), raw);
+}
+
+/// A trace whose records fit in one block of at most 512 KiB is packed
+/// and unpacked on the calling thread: at four threads no `pack` or
+/// `unpack` pool starts, and the container equals the one-thread
+/// container. One 12-byte record more starts both pools.
+#[test]
+fn small_single_block_calls_start_no_pool() {
+    let inline_records = (512 << 10) / 12;
+    for (records, backend) in [(2_000, Backend::Max), (inline_records, Backend::Fast)] {
+        for (records, pooled) in [(records, false), (records + 1, records == inline_records)] {
+            let options =
+                |threads| EngineOptions { threads, backend, ..EngineOptions::tcgen() };
+            let raw = demo_trace(records);
+            let serial = Engine::new(spec(), options(1)).compress(&raw).expect("compress");
+            let rec = Recorder::new();
+            let observed = Engine::new(spec(), options(4)).with_telemetry(rec.clone());
+            let packed = observed.compress(&raw).expect("compress at four threads");
+            assert_eq!(packed, serial, "{records} records: the thread count changed the bytes");
+            assert_eq!(observed.decompress(&packed).expect("decompress"), raw);
+            let report = rec.report();
+            assert_eq!(report.counter("compress.blocks"), Some(1));
+            let mut pools: Vec<&str> = report.pools.iter().map(|p| p.label.as_str()).collect();
+            pools.sort_unstable();
+            let expected: &[&str] = if pooled { &["pack", "unpack"] } else { &[] };
+            assert_eq!(pools, expected, "{records} records in one block");
+        }
+    }
+}
+
+/// Table set-up is visible: a thread builds its bank set once, and every
+/// later call and every span start resets that set instead, each under
+/// one `tables.setup` span.
+#[test]
+fn table_sets_are_built_once_per_thread() {
+    let raw = demo_trace(1_500);
+    // 12 blocks of 128 records, a span every 2 blocks: 6 spans.
+    let options = EngineOptions {
+        block_records: 128,
+        checkpoint_blocks: 2,
+        threads: 1,
+        ..EngineOptions::tcgen()
+    };
+    let report = std::thread::scope(|s| {
+        s.spawn(|| {
+            let rec = Recorder::new();
+            let observed = Engine::new(spec(), options).with_telemetry(rec.clone());
+            let packed = observed.compress(&raw).expect("compress");
+            assert_eq!(observed.decompress(&packed).expect("decompress"), raw);
+            rec.report()
+        })
+        .join()
+        .expect("traced thread")
+    });
+    // Built by the compress; reset by its 5 later spans, by the
+    // decompress and by the decompress's 5 later spans.
+    assert_eq!(report.counter("tables.built"), Some(1));
+    assert_eq!(report.counter("tables.reused"), Some(11));
+    assert_eq!(report.stage("tables.setup").map(|s| s.count), Some(12));
 }

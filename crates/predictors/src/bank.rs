@@ -487,6 +487,12 @@ impl<E: TableElement> TypedBank<E> {
     }
 
     /// [`FieldBank::update`] with the line resolved and the value masked.
+    ///
+    /// Marks `line` before any table is written: every last-value,
+    /// stride and first-level hash write of the update lands on that
+    /// line, and every second-level write on a line the context bank
+    /// marks in its own map, which is what lets [`Self::reset`] clear
+    /// only marked lines.
     #[inline]
     fn update_line(&mut self, line: usize, value: E) {
         self.l1_occ.mark(line);
@@ -566,7 +572,9 @@ impl<E: TableElement> TypedBank<E> {
 
         let mut idx_buf = std::mem::take(&mut self.plan_idx);
         for (pc_sub, val_sub) in pcs.chunks(PLAN_SUB).zip(values.chunks(PLAN_SUB)) {
-            // Pass A: resolve and prefetch every table index.
+            // Pass A: resolve and prefetch every table index. It
+            // advances first-level hashes ahead of the L1 marks, but pass
+            // B below marks the line of every record pass A advanced.
             idx_buf.clear();
             idx_buf.reserve(pc_sub.len() * per_rec);
             for (&pc, &raw) in pc_sub.iter().zip(val_sub) {
@@ -684,7 +692,8 @@ impl<E: TableElement> TypedBank<E> {
 
     /// [`Self::update_line`] with the (D)FCM table indices planned by
     /// pass A; the hash state is untouched here because
-    /// [`ContextBank::plan_record`] already advanced it.
+    /// [`ContextBank::plan_record`] already advanced it. Marks `line`
+    /// first, as [`Self::update_line`] does.
     #[inline]
     fn update_line_planned(
         &mut self,
@@ -819,6 +828,8 @@ impl<E: TableElement> TypedBank<E> {
             // Advance the hashes (values for FCM, pre-update strides for
             // DFCM), then resolve and prefetch the *next* record's lines
             // so the fetch overlaps this record's table updates below.
+            // Nothing between here and the update can fail, so the line
+            // whose hashes advance is always marked.
             self.advance_row(line, value);
             if rec + 1 < codes.len() {
                 row_next.clear();
@@ -895,6 +906,26 @@ impl<E: TableElement> TypedBank<E> {
                     & self.mask
             }
         }
+    }
+
+    /// Returns every table, hash and occupancy map to the state
+    /// [`TypedBank::new`] built, visiting only the lines the occupancy
+    /// maps mark. The L1 map covers the last-value and stride tables and
+    /// every context bank's first-level state; each second-level table
+    /// has its own map. A line is cleared at most once per write that
+    /// dirtied it, so a reset never costs more than a small share of the
+    /// modeling or replay before it. Pass A's last-value scratch needs
+    /// nothing: its generation stamp revalidates it at the next column.
+    fn reset(&mut self) {
+        let Self { l1_occ, lv_tables, stride_tables, fcm_banks, dfcm_banks, .. } = self;
+        l1_occ.drain(|line| {
+            lv_tables.iter_mut().for_each(|t| t.clear_line(line));
+            stride_tables.iter_mut().for_each(|t| t.clear_line(line));
+            for bank in fcm_banks.iter_mut().chain(dfcm_banks.iter_mut()) {
+                bank.clear_line(line);
+            }
+        });
+        fcm_banks.iter_mut().chain(dfcm_banks.iter_mut()).for_each(ContextBank::reset_tables);
     }
 
     /// Approximate memory footprint in bytes, including hash state.
@@ -1121,6 +1152,16 @@ impl FieldBank {
         dispatch!(self, b => b.replay_column(pcs, codes, misses, out))
     }
 
+    /// Returns the bank to the state [`Self::new`] builds — zeroed
+    /// tables, hashes and occupancy counters — without reallocating it.
+    /// Costs time in proportion to the lines written since the bank was
+    /// built or last reset, not to the tables' size, so a caller can
+    /// keep one bank for many traces. A schedule forced with
+    /// `force_plan` is kept.
+    pub fn reset(&mut self) {
+        dispatch!(self, b => b.reset())
+    }
+
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         dispatch!(self, b => b.memory_bytes())
@@ -1135,7 +1176,8 @@ impl FieldBank {
 
     /// Per-table occupancy summaries: the shared first-level line space,
     /// then each (D)FCM second-level table in predictor order. Counters
-    /// accumulate across every update this bank has seen.
+    /// accumulate across every update since the bank was built or last
+    /// [`reset`](Self::reset).
     pub fn occupancy(&self) -> Vec<TableOccupancy> {
         dispatch!(self, b => b.occupancy())
     }
@@ -1649,6 +1691,52 @@ mod columnar_tests {
                     "final state diverges: {}-bit {options:?}",
                     field.bits
                 );
+            }
+        }
+    }
+
+    /// A reset on production-sized tables: TCGEN_A's banks, which model
+    /// on the planned kernel, after a short column (a few lines written)
+    /// and after a long one (a large share of L1 written), model two
+    /// further columns exactly as new banks do.
+    #[test]
+    fn reset_matches_new_on_tcgen_a_tables() {
+        let spec = parse(presets::TCGEN_A).unwrap();
+        let (b_pcs, b_vals) = columns(4_000);
+        let c_vals: Vec<u64> = b_vals.iter().map(|v| v.rotate_left(17) ^ 0x5a5a).collect();
+        let model = |bank: &mut FieldBank, pcs: &[u64], vals: &[u64]| {
+            let (mut codes, mut misses) = (Vec::new(), Vec::new());
+            bank.model_column(pcs, vals, &mut codes, &mut misses);
+            (codes, misses)
+        };
+        for n in [500usize, 60_000] {
+            let (pcs, vals) = columns(n);
+            let a_vals: Vec<u64> = vals.iter().map(|v| v.wrapping_mul(3)).collect();
+            for (fi, field) in spec.fields.iter().enumerate() {
+                let pc_of = |vals: &'_ [u64], pcs: &'_ [u64]| {
+                    if fi == spec.pc_index() {
+                        vals.to_vec()
+                    } else {
+                        pcs.to_vec()
+                    }
+                };
+                let mut used = FieldBank::new(field, PredictorOptions::default());
+                model(&mut used, &pc_of(&a_vals, &pcs), &a_vals);
+                if n > 10_000 && fi != spec.pc_index() {
+                    let l1 = used.occupancy()[0].fill();
+                    assert!(l1 > 0.125, "a long column must write a large share of L1: {l1}");
+                }
+                used.reset();
+                let mut fresh = FieldBank::new(field, PredictorOptions::default());
+                for vals in [&b_vals, &c_vals] {
+                    let pcs = pc_of(vals, &b_pcs);
+                    assert_eq!(
+                        model(&mut used, &pcs, vals),
+                        model(&mut fresh, &pcs, vals),
+                        "field {fi} after {n} records"
+                    );
+                }
+                assert_eq!(used.occupancy(), fresh.occupancy(), "field {fi} after {n} records");
             }
         }
     }

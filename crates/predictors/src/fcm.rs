@@ -97,6 +97,28 @@ impl<E: TableElement> ContextBank<E> {
         }
     }
 
+    /// Zeroes the first-level state (running hashes or history) of L1
+    /// line `line`, as [`Self::new`] left it. The owning bank calls this
+    /// for every line its L1 occupancy map marks: the hashes of a line
+    /// advance only in an update that marks that line.
+    #[inline]
+    pub fn clear_line(&mut self, line: usize) {
+        let range = line * self.max_order..(line + 1) * self.max_order;
+        if self.fast_hash {
+            self.hashes[range].fill(0);
+        } else {
+            self.history[range].fill(0);
+        }
+    }
+
+    /// Returns every second-level table to its freshly built state,
+    /// clearing the lines its occupancy map marks and the map with them.
+    pub fn reset_tables(&mut self) {
+        for (t, occ) in self.tables.iter_mut().zip(&mut self.occ) {
+            occ.drain(|idx| t.table.clear_line(idx));
+        }
+    }
+
     /// Number of second-level tables (= predictors) in this bank.
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -170,7 +192,8 @@ impl<E: TableElement> ContextBank<E> {
     ///
     /// A record planned this way must be finished with
     /// [`Self::update_tables_at`], never [`Self::update`], or the hashes
-    /// would advance twice.
+    /// would advance twice. The caller must also mark `line` in its L1
+    /// occupancy map before the batch ends, as a reset relies on.
     #[inline]
     pub fn plan_record(&mut self, line: usize, input: u64, idx_out: &mut Vec<u32>) {
         let f = self.spec.fold_value(input);
@@ -227,7 +250,8 @@ impl<E: TableElement> ContextBank<E> {
     /// the first-level state of `line`. Must follow a
     /// [`Self::resolve_record`] for the same line, and the record must be
     /// finished with [`Self::update_tables_at`] — never [`Self::update`],
-    /// which would advance the hashes a second time.
+    /// which would advance the hashes a second time — and the caller
+    /// must mark `line` in its L1 occupancy map in the same step.
     #[inline]
     pub fn advance_hashes(&mut self, line: usize, input: u64) {
         let f = self.spec.fold_value(input);
@@ -263,17 +287,20 @@ impl<E: TableElement> ContextBank<E> {
     pub fn update_tables_at(&mut self, idxs: &[u32], value: E, policy: UpdatePolicy) {
         for (t, &idx) in idxs.iter().enumerate() {
             let idx = idx as usize;
+            // Mark before writing: a reset clears only marked lines.
             self.occ[t].mark(idx);
             self.tables[t].table.update(idx, value, policy);
         }
     }
 
     /// Updates every second-level table with `value` at the current
-    /// indices, then advances the first-level hashes with `value`.
+    /// indices, then advances the first-level hashes with `value`. The
+    /// caller marks `line` in its L1 occupancy map.
     pub fn update(&mut self, line: usize, value: E, policy: UpdatePolicy) {
         let scratch = if self.fast_hash { Vec::new() } else { self.scratch_hashes(line) };
         for t in 0..self.tables.len() {
             let idx = self.index(line, t, &scratch);
+            // Mark before writing: a reset clears only marked lines.
             self.occ[t].mark(idx);
             self.tables[t].table.update(idx, value, policy);
         }

@@ -9,6 +9,11 @@
 //! close that gap: every bank records which lines it has written, and
 //! [`TableOccupancy`] summaries flow into the engine's usage report and
 //! the spec auto-tuner, which use them to shrink `L1`/`L2` parameters.
+//!
+//! The same maps make a reset cheap: every write to a table lands on a
+//! line whose bit the same update sets, so [`Occupancy::drain`] visits
+//! exactly the lines that differ from a freshly built table
+//! (`FieldBank::reset`).
 
 /// A write-once bitset over a table's lines plus a running count of set
 /// bits: `mark` is one test-and-set per update, so keeping the counters
@@ -50,6 +55,20 @@ impl Occupancy {
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.bits.len() * 8
+    }
+
+    /// Calls `f` with every written line, in ascending order, and clears
+    /// the map as it goes: afterwards no line is marked and
+    /// [`Self::written`] is 0.
+    pub fn drain(&mut self, mut f: impl FnMut(usize)) {
+        for (w, word) in self.bits.iter_mut().enumerate().filter(|(_, word)| **word != 0) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.written = 0;
     }
 }
 
@@ -118,6 +137,25 @@ mod tests {
         occ.mark(64);
         occ.mark(199);
         assert_eq!(occ.written(), 4);
+    }
+
+    #[test]
+    fn drain_visits_marked_lines_across_words_and_clears_them() {
+        let mut occ = Occupancy::new(200);
+        for idx in [199, 0, 63, 64, 127, 128, 5, 64] {
+            occ.mark(idx);
+        }
+        assert_eq!(occ.written(), 7);
+        let mut seen = Vec::new();
+        occ.drain(|idx| seen.push(idx));
+        assert_eq!(seen, [0, 5, 63, 64, 127, 128, 199]);
+        assert_eq!(occ.written(), 0);
+        let mut again = Vec::new();
+        occ.drain(|idx| again.push(idx));
+        assert!(again.is_empty(), "a drained map has no marks left");
+        // Marks count again from zero.
+        occ.mark(64);
+        assert_eq!(occ.written(), 1);
     }
 
     #[test]

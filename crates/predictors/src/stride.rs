@@ -47,6 +47,12 @@ impl<E: TableElement> StrideTable<E> {
         self.values[base] = stride;
     }
 
+    /// Zeroes `line`, as [`Self::new`] left it.
+    #[inline]
+    pub fn clear_line(&mut self, line: usize) {
+        self.values[line * 2..line * 2 + 2].fill(E::default());
+    }
+
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<E>()

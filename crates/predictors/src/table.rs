@@ -63,6 +63,13 @@ impl<E: TableElement> ValueTable<E> {
         true
     }
 
+    /// Zeroes `line`, as [`Self::new`] left it.
+    #[inline]
+    pub fn clear_line(&mut self, line: usize) {
+        let start = line * self.height;
+        self.values[start..start + self.height].fill(E::default());
+    }
+
     /// Hints the CPU to pull `line` into cache ahead of a probe; a no-op
     /// on architectures without a stable prefetch intrinsic.
     #[inline(always)]
@@ -119,6 +126,19 @@ mod tests {
         t.update(0, 5, UpdatePolicy::Always);
         t.update(0, 5, UpdatePolicy::Always);
         assert_eq!(t.line(0), &[5, 5]);
+    }
+
+    #[test]
+    fn clear_line_zeroes_one_line_only() {
+        let mut t = ValueTable::<u16>::new(3, 2);
+        for line in 0..3 {
+            t.update(line, 7, UpdatePolicy::Smart);
+            t.update(line, 9, UpdatePolicy::Smart);
+        }
+        t.clear_line(1);
+        assert_eq!(t.line(0), &[9, 7]);
+        assert_eq!(t.line(1), &[0, 0]);
+        assert_eq!(t.line(2), &[9, 7]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! An LRU cache of built [`Engine`]s, keyed by everything that changes
 //! the bytes an engine produces.
 //!
-//! Parsing a specification and sizing predictor tables is cheap but not
-//! free, and a service fielding thousands of small jobs for the same
-//! handful of specs should pay it once. An [`Engine`] is stateless
-//! across calls (each compress/decompress builds its predictor state
-//! from scratch), so one cached instance can serve any number of
-//! concurrent jobs through an [`Arc`].
+//! Parsing a specification is cheap but not free, and a service
+//! fielding thousands of small jobs for the same handful of specs should
+//! pay it once. An [`Engine`] is stateless across calls: each
+//! compress/decompress starts from zeroed predictor tables, which live
+//! with the calling thread rather than the engine (a job thread builds
+//! its own set and frees it when its engine call returns), so one cached
+//! instance can serve any number of concurrent jobs through an [`Arc`].
 //!
 //! The key is the *source text* of the spec plus the option fields that
 //! are recorded in or affect the container: backend profile, thread

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use tcgen_engine::Recorder;
+use tcgen_engine::{drop_idle_tables, Recorder};
 use tcgen_telemetry::{with_trace_id, PoolStats, TrackId, WindowSnapshot};
 
 use crate::cache::EngineCache;
@@ -465,6 +465,9 @@ fn spawn_job(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u32, pending: Open
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 run_job(&pending.request, &pending.input, &daemon.cache, Some(&daemon.recorder))
             }));
+            // This thread makes no further engine call: free its table
+            // set before the result is sent, not when the thread exits.
+            drop_idle_tables();
             daemon.recorder.record_span(daemon.serve_track, span_name(kind), start);
             let dur = start.elapsed();
             daemon.recorder.histogram("serve.job_duration_ns").record(dur.as_nanos() as u64);
