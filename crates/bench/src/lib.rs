@@ -121,13 +121,45 @@ impl Measurement {
     }
 }
 
-/// Runs one codec over one raw trace, verifying losslessness (the paper
-/// "diffs" every decompressed trace against the original).
+/// Timed compress/decompress round trips per [`measure`] call.
+pub const MEASURE_REPEATS: usize = 3;
+
+/// Runs one codec over one raw trace [`MEASURE_REPEATS`] times,
+/// verifying losslessness every time (the paper "diffs" every
+/// decompressed trace against the original), and keeps the median time
+/// of each direction, so one preempted call does not move a row.
+///
+/// # Panics
+///
+/// Panics if the codec fails, a decompressed trace differs, or the
+/// repeats disagree on the compressed size.
+pub fn measure(codec: &dyn TraceCompressor, raw: &[u8]) -> Measurement {
+    let runs: Vec<Measurement> =
+        (0..MEASURE_REPEATS).map(|_| measure_once(codec, raw)).collect();
+    assert!(
+        runs.iter().all(|m| m.compressed == runs[0].compressed),
+        "{} is not deterministic",
+        codec.name()
+    );
+    let median = |seconds: fn(&Measurement) -> f64| {
+        let mut times: Vec<f64> = runs.iter().map(seconds).collect();
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
+    Measurement {
+        compress_seconds: median(|m| m.compress_seconds),
+        decompress_seconds: median(|m| m.decompress_seconds),
+        ..runs[0]
+    }
+}
+
+/// One timed compress and decompress of `raw`, verifying losslessness.
+/// Sections that repeat a measurement themselves call this directly.
 ///
 /// # Panics
 ///
 /// Panics if the codec fails or the decompressed trace differs.
-pub fn measure(codec: &dyn TraceCompressor, raw: &[u8]) -> Measurement {
+pub fn measure_once(codec: &dyn TraceCompressor, raw: &[u8]) -> Measurement {
     let t0 = Instant::now();
     let packed = codec.compress(raw).expect("compression failed");
     let compress_seconds = t0.elapsed().as_secs_f64().max(1e-9);
@@ -171,7 +203,7 @@ impl TelemetryOverhead {
 pub fn measure_telemetry_overhead(raw: &[u8], runs: usize) -> TelemetryOverhead {
     assert!(runs > 0, "need at least one run");
     let best = |codec: &EngineCodec| {
-        (0..runs).map(|_| measure(codec, raw).compress_speed()).fold(f64::MIN, f64::max)
+        (0..runs).map(|_| measure_once(codec, raw).compress_speed()).fold(f64::MIN, f64::max)
     };
     let plain = EngineCodec::new("TCgen", presets::TCGEN_A, EngineOptions::tcgen());
     let observed = EngineCodec::new("TCgen", presets::TCGEN_A, EngineOptions::tcgen())
@@ -216,8 +248,9 @@ pub fn measure_metrics_overhead(raw: &[u8], runs: usize) -> MetricsOverhead {
     assert!(runs > 0, "need at least one run");
     let baseline = EngineCodec::new("TCgen", presets::TCGEN_A, EngineOptions::tcgen())
         .with_telemetry(Recorder::new());
-    let recorder_only =
-        (0..runs).map(|_| measure(&baseline, raw).compress_speed()).fold(f64::MIN, f64::max);
+    let recorder_only = (0..runs)
+        .map(|_| measure_once(&baseline, raw).compress_speed())
+        .fold(f64::MIN, f64::max);
 
     let recorder = Recorder::new();
     let ring = recorder.window_ring(300);
@@ -243,7 +276,7 @@ pub fn measure_metrics_overhead(raw: &[u8], runs: usize) -> MetricsOverhead {
         .with_telemetry(recorder);
     let metrics_on = (0..runs)
         .map(|_| {
-            let m = measure(&metered, raw);
+            let m = measure_once(&metered, raw);
             durations.record((m.compress_seconds * 1e9) as u64);
             sizes.record(m.original as u64);
             m.compress_speed()
@@ -312,7 +345,7 @@ pub fn measure_profile_speed(records: usize, runs: usize) -> ProfileSpeed {
     let mut best: Vec<(usize, f64, f64)> = vec![(0, f64::MAX, f64::MAX); profiles.len()];
     for _ in 0..runs {
         for (slot, (_, codec)) in best.iter_mut().zip(&profiles) {
-            let m = measure(codec, &raw);
+            let m = measure_once(codec, &raw);
             slot.0 = m.compressed;
             slot.1 = slot.1.min(m.compress_seconds);
             slot.2 = slot.2.min(m.decompress_seconds);
@@ -412,7 +445,7 @@ pub fn measure_checkpoint_speed(records: usize, runs: usize) -> CheckpointSpeed 
     let mut best: Vec<(usize, f64, f64)> = vec![(0, f64::MAX, f64::MAX); configs.len()];
     for _ in 0..runs {
         for (slot, codec) in best.iter_mut().zip(&codecs) {
-            let m = measure(codec, &raw);
+            let m = measure_once(codec, &raw);
             slot.0 = m.compressed;
             slot.1 = slot.1.min(m.compress_seconds);
             slot.2 = slot.2.min(m.decompress_seconds);

@@ -5,7 +5,9 @@
 //! move-to-front + unary selector sequence records each group's table.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::{HuffmanDecoder, HuffmanEncoder, MAX_CODE_LEN};
+use crate::huffman::{
+    canonical_codes, code_lengths, HuffmanDecoder, MAX_ALPHABET, MAX_CODE_LEN,
+};
 use crate::rle::EOB;
 
 /// Symbols per selector group (BZIP2's constant).
@@ -26,10 +28,9 @@ fn table_count(n_symbols: usize) -> usize {
     }
 }
 
-/// Writes the used-symbol bitmap (a coarse word of 16-symbol blocks plus
-/// one fine 16-bit word per used block, as in BZIP2) and returns the
-/// dense used-symbol list.
-fn write_used_map(used: &[bool], w: &mut BitWriter) -> Vec<u16> {
+/// Writes the used-symbol bitmap: a coarse word of 16-symbol blocks plus
+/// one fine 16-bit word per used block, as in BZIP2.
+fn write_used_map(used: &[bool], w: &mut BitWriter) {
     let n_words = used.len().div_ceil(16);
     let mut coarse = 0u32;
     for (word, chunk) in used.chunks(16).enumerate() {
@@ -49,10 +50,10 @@ fn write_used_map(used: &[bool], w: &mut BitWriter) -> Vec<u16> {
             w.write(u64::from(fine), 16);
         }
     }
-    (0..used.len() as u16).filter(|&s| used[s as usize]).collect()
 }
 
-/// Reads the used-symbol bitmap written by [`write_used_map`].
+/// Reads the used-symbol bitmap written by [`write_used_map`] and returns
+/// the used symbols in ascending order.
 fn read_used_map(alphabet: usize, r: &mut BitReader<'_>) -> Result<Vec<u16>, String> {
     let n_words = alphabet.div_ceil(16);
     let coarse = r.read(n_words as u32)? as u32;
@@ -75,14 +76,13 @@ fn read_used_map(alphabet: usize, r: &mut BitReader<'_>) -> Result<Vec<u16>, Str
     Ok(dense)
 }
 
-/// Writes code lengths delta-coded as in BZIP2: a 5-bit starting length,
-/// then per symbol a walk of `1x` steps (`10` = +1, `11` = −1) ending in
-/// a `0` bit.
-fn write_lengths(enc: &HuffmanEncoder, dense: &[u16], w: &mut BitWriter) {
-    let mut cur = i32::from(enc.code_len(dense[0])).max(1);
-    w.write(cur as u64, 5);
-    for &sym in dense {
-        let target = i32::from(enc.code_len(sym)).max(1);
+/// Writes the code lengths of the used symbols delta-coded as in BZIP2:
+/// a 5-bit starting length, then per symbol a walk of `1x` steps
+/// (`10` = +1, `11` = −1) ending in a `0` bit.
+fn write_lengths(lengths: &[u8], w: &mut BitWriter) {
+    let mut cur = lengths[0];
+    w.write(u64::from(cur), 5);
+    for &target in lengths {
         while cur != target {
             w.write(1, 1);
             if target > cur {
@@ -97,16 +97,10 @@ fn write_lengths(enc: &HuffmanEncoder, dense: &[u16], w: &mut BitWriter) {
     }
 }
 
-/// Reads lengths written by [`write_lengths`] into a sparse table over
-/// the full alphabet.
-fn read_lengths(
-    dense: &[u16],
-    alphabet: usize,
-    r: &mut BitReader<'_>,
-) -> Result<Vec<u8>, String> {
+/// Reads lengths written by [`write_lengths`], one per used symbol.
+fn read_lengths(lengths: &mut [u8], r: &mut BitReader<'_>) -> Result<(), String> {
     let mut cur = r.read(5)? as i32;
-    let mut lengths = vec![0u8; alphabet];
-    for &sym in dense {
+    for slot in lengths.iter_mut() {
         loop {
             if !(1..=i32::from(MAX_CODE_LEN)).contains(&cur) {
                 return Err(format!("delta-coded length {cur} out of range"));
@@ -120,69 +114,102 @@ fn read_lengths(
                 cur -= 1;
             }
         }
-        lengths[sym as usize] = cur as u8;
+        *slot = cur as u8;
     }
-    Ok(lengths)
+    Ok(())
 }
+
+/// Bits per table in a packed group cost: a group of 50 codes of at most
+/// 20 bits costs at most 1,000, so six tables' costs share one `u64`
+/// without carrying into each other.
+const COST_BITS: usize = 10;
+const _: () = assert!(GROUP_SIZE * (MAX_CODE_LEN as usize) < 1 << COST_BITS);
+const _: () = assert!(MAX_TABLES * COST_BITS <= 64);
 
 /// Encodes `symbols` (terminated by [`EOB`]) with refined multi-table
 /// Huffman coding, writing the used-symbol map, tables, selectors, and
 /// payload to `w`.
 ///
+/// Everything after the used-symbol scan works on the used symbols only:
+/// the stream is renumbered densely once, and each pass counts, builds
+/// and prices tables over that dense alphabet in buffers kept across
+/// the passes. Unused symbols get no code in any case, so the lengths,
+/// selectors and bytes are those of a build over the full alphabet.
+///
 /// # Panics
 ///
-/// Panics if `symbols` is empty (the RLE stage always emits an EOB).
+/// Panics if `symbols` is empty (the RLE stage always emits an EOB), if
+/// `alphabet` exceeds [`MAX_ALPHABET`], or if a symbol is outside it.
 pub fn encode_symbols(symbols: &[u16], alphabet: usize, w: &mut BitWriter) {
     assert!(!symbols.is_empty(), "symbol stream must at least hold EOB");
+    assert!(alphabet <= MAX_ALPHABET, "alphabet of {alphabet} exceeds {MAX_ALPHABET}");
     let n_tables = table_count(symbols.len());
     let n_groups = symbols.len().div_ceil(GROUP_SIZE);
-    let mut used = vec![false; alphabet];
+    let mut used = [false; MAX_ALPHABET];
+    let used = &mut used[..alphabet];
     for &s in symbols {
-        used[s as usize] = true;
+        used[usize::from(s)] = true;
     }
+    let mut dense_of = [0u16; MAX_ALPHABET];
+    let mut n_used = 0;
+    for (slot, _) in dense_of.iter_mut().zip(used.iter()).filter(|(_, &u)| u) {
+        *slot = n_used as u16;
+        n_used += 1;
+    }
+    let dense: Vec<u16> = symbols.iter().map(|&s| dense_of[usize::from(s)]).collect();
 
     // Initial assignment: contiguous frequency bands, like BZIP2 — split
     // the stream into n_tables runs of roughly equal symbol counts.
     let mut selectors: Vec<u8> =
         (0..n_groups).map(|g| ((g * n_tables) / n_groups) as u8).collect();
 
-    let mut encoders: Vec<HuffmanEncoder> = Vec::new();
+    // One row per table, reused by every pass.
+    let mut weights = vec![0u64; n_tables * n_used];
+    let mut lengths = vec![0u8; n_tables * n_used];
+    let mut packed = [0u64; MAX_ALPHABET];
+    let packed = &mut packed[..n_used];
     for _pass in 0..PASSES {
         // Rebuild each table from the groups currently assigned to it.
-        let mut freqs = vec![vec![0u64; alphabet]; n_tables];
-        for (g, chunk) in symbols.chunks(GROUP_SIZE).enumerate() {
-            let t = selectors[g] as usize;
-            for &s in chunk {
-                freqs[t][s as usize] += 1;
+        // Every table must cover every *used* symbol so any group can be
+        // assigned to any table, so each count starts at one.
+        weights.fill(1);
+        for (chunk, &t) in dense.chunks(GROUP_SIZE).zip(&selectors) {
+            let row = &mut weights[usize::from(t) * n_used..][..n_used];
+            for &d in chunk {
+                row[usize::from(d)] += 1;
             }
         }
-        // Every table must cover every *used* symbol so any group can be
-        // assigned to any table; unused symbols get no code at all.
-        encoders = freqs
-            .iter()
-            .map(|f| {
-                let padded: Vec<u64> =
-                    f.iter().zip(&used).map(|(&x, &u)| if u { x + 1 } else { 0 }).collect();
-                HuffmanEncoder::from_frequencies(&padded)
-            })
-            .collect();
-        // Reassign every group to its cheapest table.
-        for (g, chunk) in symbols.chunks(GROUP_SIZE).enumerate() {
-            let mut best = 0usize;
+        for (row, lens) in
+            weights.chunks_exact_mut(n_used).zip(lengths.chunks_exact_mut(n_used))
+        {
+            code_lengths(row, MAX_CODE_LEN, lens);
+        }
+        // Reassign every group to its cheapest table (the first on a
+        // tie), pricing all tables at once: `packed` holds each symbol's
+        // code lengths in `COST_BITS`-wide fields, one per table.
+        packed.fill(0);
+        for (t, lens) in lengths.chunks_exact(n_used).enumerate() {
+            for (p, &len) in packed.iter_mut().zip(lens) {
+                *p |= u64::from(len) << (COST_BITS * t);
+            }
+        }
+        for (chunk, sel) in dense.chunks(GROUP_SIZE).zip(selectors.iter_mut()) {
+            let costs: u64 = chunk.iter().map(|&d| packed[usize::from(d)]).sum();
+            let mut best = 0;
             let mut best_cost = u64::MAX;
-            for (t, enc) in encoders.iter().enumerate() {
-                let cost: u64 = chunk.iter().map(|&s| u64::from(enc.code_len(s))).sum();
+            for t in 0..n_tables {
+                let cost = (costs >> (COST_BITS * t)) & ((1 << COST_BITS) - 1);
                 if cost < best_cost {
                     best_cost = cost;
                     best = t;
                 }
             }
-            selectors[g] = best as u8;
+            *sel = best as u8;
         }
     }
 
     // Header: used-symbol map, table count, group count.
-    let dense = write_used_map(&used, w);
+    write_used_map(used, w);
     w.write(n_tables as u64, 3);
     w.write(n_groups as u64, 32);
     // Selectors, move-to-front + unary coded.
@@ -197,14 +224,20 @@ pub fn encode_symbols(symbols: &[u16], alphabet: usize, w: &mut BitWriter) {
         mtf[0] = sel;
     }
     // Tables, delta-coded over the used symbols only.
-    for enc in &encoders {
-        write_lengths(enc, &dense, w);
+    for lens in lengths.chunks_exact(n_used) {
+        write_lengths(lens, w);
     }
     // Payload.
-    for (g, chunk) in symbols.chunks(GROUP_SIZE).enumerate() {
-        let enc = &encoders[selectors[g] as usize];
-        for &s in chunk {
-            enc.encode_symbol(s, w);
+    let mut codes = vec![0u32; n_tables * n_used];
+    for (lens, row) in lengths.chunks_exact(n_used).zip(codes.chunks_exact_mut(n_used)) {
+        canonical_codes(lens, row);
+    }
+    for (chunk, &t) in dense.chunks(GROUP_SIZE).zip(&selectors) {
+        let base = usize::from(t) * n_used;
+        let (lens, row) = (&lengths[base..base + n_used], &codes[base..base + n_used]);
+        for &d in chunk {
+            let d = usize::from(d);
+            w.write(u64::from(row[d]), u32::from(lens[d]));
         }
     }
 }
@@ -262,9 +295,10 @@ pub fn decode_symbols_into(
         selectors.push(sel);
     }
     let mut decoders = Vec::with_capacity(n_tables);
+    let mut lengths = vec![0u8; dense.len()];
     for _ in 0..n_tables {
-        let lengths = read_lengths(&dense, alphabet, r)?;
-        decoders.push(HuffmanDecoder::from_lengths(&lengths)?);
+        read_lengths(&mut lengths, r)?;
+        decoders.push(HuffmanDecoder::from_used(&dense, &lengths)?);
     }
     // Each decoded symbol consumes at least one payload bit, so the
     // bit budget also caps the reservation for adversarial selectors.
@@ -312,6 +346,7 @@ pub fn decode_symbols_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::huffman::HuffmanEncoder;
     use crate::rle::ALPHABET;
 
     fn roundtrip(symbols: &[u16]) {
