@@ -48,18 +48,13 @@ impl TraceCompressor for EngineCodec {
     }
 }
 
-/// The seven §7 algorithms plus the two non-default TCgen post-
-/// compression profiles, in a fixed display order. `TCgen` itself is
-/// `--profile max`; the `TCgen-balanced` and `TCgen-fast` rows measure
-/// the ratio/speed trade the other backends buy.
+/// The seven §7 algorithms plus the non-default TCgen post-compression
+/// profile, in a fixed display order. `TCgen` itself is `--profile max`;
+/// the `TCgen-fast` row measures the ratio/speed trade the other backend
+/// buys.
 pub fn algorithms() -> Vec<Box<dyn TraceCompressor>> {
     vec![
         Box::new(EngineCodec::new("TCgen", presets::TCGEN_A, EngineOptions::tcgen())),
-        Box::new(EngineCodec::new(
-            "TCgen-balanced",
-            presets::TCGEN_A,
-            EngineOptions { backend: Backend::Balanced, ..EngineOptions::tcgen() },
-        )),
         Box::new(EngineCodec::new(
             "TCgen-fast",
             presets::TCGEN_A,
@@ -291,7 +286,7 @@ pub fn measure_metrics_overhead(raw: &[u8], runs: usize) -> MetricsOverhead {
 /// backend fared on the reference trace.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileSpeedRow {
-    /// CLI profile name (`max`, `balanced`, `fast`).
+    /// CLI profile name (`max`, `fast`).
     pub profile: &'static str,
     /// Compressed size in bytes.
     pub compressed: usize,
@@ -311,7 +306,7 @@ pub struct ProfileSpeed {
     pub records: usize,
     /// Uncompressed trace size in bytes.
     pub original: usize,
-    /// One row per profile, in `max`, `balanced`, `fast` order.
+    /// One row per profile, in [`Backend::ALL`] order (`max` first).
     pub rows: Vec<ProfileSpeedRow>,
 }
 
@@ -328,20 +323,14 @@ pub fn measure_profile_speed(records: usize, runs: usize) -> ProfileSpeed {
     assert!(runs > 0, "need at least one run");
     let program = suite().into_iter().find(|p| p.name == "gzip").expect("gzip is in Table 1");
     let raw = generate_trace(&program, TraceKind::StoreAddress, records).to_bytes();
-    let profiles: Vec<(&'static str, EngineCodec)> =
-        [("max", Backend::Max), ("balanced", Backend::Balanced), ("fast", Backend::Fast)]
-            .into_iter()
-            .map(|(name, backend)| {
-                (
-                    name,
-                    EngineCodec::new(
-                        name,
-                        presets::TCGEN_A,
-                        EngineOptions { backend, ..EngineOptions::tcgen() },
-                    ),
-                )
-            })
-            .collect();
+    let profiles: Vec<(&'static str, EngineCodec)> = Backend::ALL
+        .into_iter()
+        .map(|backend| {
+            let name = backend.profile();
+            let options = EngineOptions { backend, ..EngineOptions::tcgen() };
+            (name, EngineCodec::new(name, presets::TCGEN_A, options))
+        })
+        .collect();
     let mut best: Vec<(usize, f64, f64)> = vec![(0, f64::MAX, f64::MAX); profiles.len()];
     for _ in 0..runs {
         for (slot, (_, codec)) in best.iter_mut().zip(&profiles) {

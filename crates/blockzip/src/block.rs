@@ -84,10 +84,10 @@ pub fn compress_with(data: &[u8], level: Level) -> Result<Vec<u8>, Error> {
 #[derive(Debug, Default)]
 pub struct Scratch {
     bwt: bwt::Scratch,
-    pub(crate) ranks: Vec<u8>,
-    pub(crate) symbols: Vec<u16>,
+    ranks: Vec<u8>,
+    symbols: Vec<u16>,
     pub(crate) bytes: Vec<u8>,
-    pub(crate) lf: Vec<u32>,
+    lf: Vec<u32>,
     pub(crate) probes: Option<Probes>,
 }
 
@@ -108,11 +108,11 @@ impl Scratch {
 #[derive(Debug)]
 pub(crate) struct Probes {
     bwt_ns: Counter,
-    pub(crate) mtf_rle_ns: Counter,
+    mtf_rle_ns: Counter,
     pub(crate) entropy_ns: Counter,
     pub(crate) blocks: Counter,
     pub(crate) entropy_decode_ns: Counter,
-    pub(crate) unrle_ns: Counter,
+    unrle_ns: Counter,
     unbwt_ns: Counter,
     pub(crate) blocks_decoded: Counter,
 }

@@ -11,11 +11,9 @@
 //! the post-compression stage every trace compressor feeds its streams
 //! through.
 //!
-//! Two lighter sibling pipelines share the block framing: [`nosort`]
-//! keeps MTF + RLE + Huffman but skips the suffix sort, and [`range`] is
+//! One lighter sibling pipeline shares the block framing: [`range`] is
 //! an order-0 adaptive binary range coder with a stored-block fallback.
-//! They trade ratio for throughput and back the engine's `balanced` and
-//! `fast` profiles.
+//! It trades ratio for throughput and backs the engine's `fast` profile.
 //!
 //! ## Quick start
 //!
@@ -34,7 +32,6 @@ pub mod crc;
 pub mod groups;
 pub mod huffman;
 pub mod mtf;
-pub mod nosort;
 pub mod range;
 pub mod rle;
 pub mod sais;

@@ -71,18 +71,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The sort-free pipeline is the identity on arbitrary bytes.
-    #[test]
-    fn nosort_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
-        let mut scratch = blockzip::Scratch::default();
-        let packed =
-            blockzip::nosort::compress_with_scratch(&data, blockzip::Level::FAST, &mut scratch)
-                .unwrap();
-        let unpacked =
-            blockzip::nosort::decompress_with_scratch(&packed, usize::MAX, &mut scratch).unwrap();
-        prop_assert_eq!(unpacked, data);
-    }
-
     /// The range-coder pipeline is the identity on arbitrary bytes.
     #[test]
     fn range_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
@@ -95,20 +83,15 @@ proptest! {
         prop_assert_eq!(unpacked, data);
     }
 
-    /// Truncating either sibling container never panics — it errors.
+    /// Truncating a range-coder container never panics — it errors.
     #[test]
-    fn sibling_truncation_is_graceful(data in proptest::collection::vec(any::<u8>(), 1..2_000),
-                                      frac in 0.0f64..1.0) {
+    fn range_truncation_is_graceful(data in proptest::collection::vec(any::<u8>(), 1..2_000),
+                                    frac in 0.0f64..1.0) {
         let mut scratch = blockzip::Scratch::default();
-        for packed in [
-            blockzip::nosort::compress_with_scratch(&data, blockzip::Level::FAST, &mut scratch)
-                .unwrap(),
+        let packed =
             blockzip::range::compress_with_scratch(&data, blockzip::Level::FAST, &mut scratch)
-                .unwrap(),
-        ] {
-            let cut = ((packed.len() - 1) as f64 * frac) as usize;
-            let _ = blockzip::nosort::decompress_with_scratch(&packed[..cut], usize::MAX, &mut scratch);
-            let _ = blockzip::range::decompress_with_scratch(&packed[..cut], usize::MAX, &mut scratch);
-        }
+                .unwrap();
+        let cut = ((packed.len() - 1) as f64 * frac) as usize;
+        let _ = blockzip::range::decompress_with_scratch(&packed[..cut], usize::MAX, &mut scratch);
     }
 }

@@ -94,10 +94,10 @@ fn usage() -> String {
      tcgen client --socket PATH shutdown\n\
      \n\
      --profile P        post-compression backend: max (best ratio, the\n\
-     \x20                   default), balanced (no block sort), or fast\n\
-     \x20                   (adaptive range coder). The chosen backend is\n\
-     \x20                   recorded in the container, so decompress needs\n\
-     \x20                   no flag — any build reads any profile\n\
+     \x20                   default) or fast (adaptive range coder). The\n\
+     \x20                   chosen backend is recorded in the container, so\n\
+     \x20                   decompress needs no flag — any build reads any\n\
+     \x20                   profile\n\
      --threads N        worker threads for block segments and tuner\n\
      \x20                   candidates (0 = one per CPU, 1 = serial; output\n\
      \x20                   is identical for every N)\n\
@@ -302,7 +302,7 @@ fn parse_count(value: Option<&String>, flag: &str) -> Result<usize, String> {
 fn parse_profile(value: Option<&String>) -> Result<Backend, String> {
     let value = value.ok_or("--profile needs a value")?;
     Backend::from_profile(value)
-        .ok_or_else(|| format!("unknown profile '{value}' (use fast, balanced, or max)"))
+        .ok_or_else(|| format!("unknown profile '{value}' (use fast or max)"))
 }
 
 /// `tcgen inspect` — dump a container's prelude and, for containers with

@@ -243,6 +243,16 @@ fn unknown_options_fail_instead_of_naming_files() {
         assert!(err.contains(&format!("unexpected argument '{flag}'")), "{args:?}: {err}");
         assert!(!dir.join(flag).exists(), "{args:?} wrote a file named {flag}");
     }
+    // The retired balanced profile is an unknown value, refused by name.
+    let args = ["compress", spec, "t.trace", "b.tcgz", "--profile", "balanced"];
+    let out = tcgen().current_dir(&dir).args(args).output().expect("run tcgen");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.lines().any(|l| l == "tcgen: unknown profile 'balanced' (use fast or max)"),
+        "{err}"
+    );
+    assert!(!dir.join("b.tcgz").exists(), "--profile balanced wrote a container");
 }
 
 #[test]

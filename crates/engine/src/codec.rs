@@ -124,7 +124,7 @@ pub fn replay_streams(
 }
 
 /// `codec` with stage-timing probes attached when a recorder is present.
-fn probed(mut codec: Box<dyn PostCodec>, tel: Option<&Recorder>) -> Box<dyn PostCodec> {
+fn probed(mut codec: PostCodec, tel: Option<&Recorder>) -> PostCodec {
     if let Some(rec) = tel {
         codec.attach_probes(rec);
     }
@@ -144,7 +144,7 @@ type PackPipe = Pipeline<'static, Vec<u8>, (Vec<u8>, Result<Vec<u8>, blockzip::E
 /// Where finished blocks are packed.
 enum Pack {
     /// On the calling thread, as each block closes.
-    Inline(Box<dyn PostCodec>),
+    Inline(PostCodec),
     /// On the ordered pack pool.
     Pool {
         pipe: PackPipe,
@@ -202,7 +202,7 @@ impl<'a, W: Write> BlockWriter<'a, W> {
         let pack = if threads <= 1 {
             Pack::Inline(probed(backend.codec(level), tel))
         } else {
-            let pipe = Pipeline::start_instrumented(
+            let pipe = Pipeline::start(
                 threads,
                 PoolTelemetry::from(tel, "pack", backend.pack_span()),
                 || {
@@ -490,7 +490,7 @@ type SegmentPipe = Pipeline<'static, (Vec<u8>, usize), Result<Vec<u8>, blockzip:
 /// Where block segments are inflated.
 enum Unpack {
     /// On the calling thread, just before the block replays.
-    Inline(Box<dyn PostCodec>),
+    Inline(PostCodec),
     /// On the ordered unpack pool.
     Pool(SegmentPipe),
 }
@@ -517,7 +517,7 @@ impl<'a> BlockDecoder<'a> {
         let (unpack, ahead) = if threads <= 1 {
             (Unpack::Inline(probed(backend.codec(level), tel)), 1)
         } else {
-            let pipe = Pipeline::start_instrumented(
+            let pipe = Pipeline::start(
                 threads,
                 PoolTelemetry::from(tel, "unpack", backend.unpack_span()),
                 || {

@@ -31,6 +31,7 @@
 
 use std::io::{Read, Seek, SeekFrom};
 
+use blockzip::crc::crc32;
 use tcgen_spec::TraceSpec;
 use tcgen_telemetry::Counter;
 
@@ -481,19 +482,6 @@ impl<R: Read + Seek> FrameReader<R> {
         let bytes = self.bytes(footer_len as usize)?;
         Ok(parse_footer(&bytes)?)
     }
-}
-
-/// CRC-32 (IEEE, reflected) over `bytes`. Bitwise — footers are a few
-/// hundred bytes, so a lookup table would be pure cache pressure.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xedb8_8320 & (0u32.wrapping_sub(crc & 1)));
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]

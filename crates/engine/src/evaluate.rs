@@ -54,7 +54,7 @@ struct EvalJob {
 fn evaluate(
     job: &EvalJob,
     options: &EngineOptions,
-    codec: &mut dyn PostCodec,
+    codec: &mut PostCodec,
 ) -> Result<CandidateScore, Error> {
     let mut bank = FieldBank::new(&job.field, options.predictor);
     let mut codes: Vec<u8> = Vec::with_capacity(job.values.len());
@@ -139,19 +139,15 @@ pub fn score_candidates_with_telemetry(
             .iter()
             .map(|j| {
                 let _s = driver_span(tel, "tune.eval");
-                evaluate(j, options, codec.as_mut())
+                evaluate(j, options, &mut codec)
             })
             .collect();
     }
     let pipe: Pipeline<'_, EvalJob, Result<CandidateScore, Error>> =
-        Pipeline::start_instrumented(
-            threads,
-            PoolTelemetry::from(tel, "tune-eval", "tune.eval"),
-            || {
-                let mut codec = options.backend.codec(options.level);
-                move |job: EvalJob| evaluate(&job, options, codec.as_mut())
-            },
-        );
+        Pipeline::start(threads, PoolTelemetry::from(tel, "tune-eval", "tune.eval"), || {
+            let mut codec = options.backend.codec(options.level);
+            move |job: EvalJob| evaluate(&job, options, &mut codec)
+        });
     let n = jobs.len();
     for job in jobs {
         pipe.submit(job);

@@ -162,6 +162,10 @@ impl EngineOptions {
     /// checkpoints, a layout this build no longer reads.
     const FLAG_SNAPSHOTS: u8 = 0b0010_0000;
 
+    /// Backend id 1, retired: the sort-free `balanced` backend (blockzip
+    /// without the BWT), whose segments this build no longer reads.
+    const BACKEND_BALANCED: u8 = 1;
+
     /// Bit 6: the container is cut into spans that each start from fresh
     /// predictor state, and a seekable footer follows the end marker.
     pub(crate) const FLAG_SPANS: u8 = 0b0100_0000;
@@ -194,12 +198,13 @@ impl EngineOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] if the byte marks retired snapshot
-    /// checkpoints, or uses reserved bits or a backend id this build does
-    /// not understand — a forward-compat guard, so a newer container
-    /// fails loudly instead of being misdecoded.
+    /// Returns [`Error::Corrupt`] if the byte marks a retired layout
+    /// (snapshot checkpoints, the `balanced` backend, each refused by
+    /// name), or uses reserved bits or a backend id this build does not
+    /// understand — a forward-compat guard, so a newer container fails
+    /// loudly instead of being misdecoded.
     pub fn with_flags(mut self, flags: u8) -> Result<Self, Error> {
-        Self::reject_snapshots(flags)?;
+        Self::reject_retired(flags)?;
         if flags & !Self::KNOWN_FLAGS != 0 {
             return Err(Error::Corrupt(format!(
                 "container flags {flags:#04x} use reserved bits this build does not understand"
@@ -220,15 +225,21 @@ impl EngineOptions {
         Ok(self)
     }
 
-    /// Fails on flag bit 5, the retired snapshot-checkpoint layout.
-    pub(crate) fn reject_snapshots(flags: u8) -> Result<(), Error> {
-        if flags & Self::FLAG_SNAPSHOTS != 0 {
-            return Err(Error::Corrupt(format!(
-                "container flags {flags:#04x} mark retired snapshot checkpoints (bit 5); \
-                 decompress it with an older build and recompress it"
-            )));
-        }
-        Ok(())
+    /// Fails, naming the layout, on the retired layouts a flags byte can
+    /// mark: bit 5, the snapshot checkpoints, and backend id 1, the
+    /// `balanced` backend.
+    pub(crate) fn reject_retired(flags: u8) -> Result<(), Error> {
+        let retired = if flags & Self::FLAG_SNAPSHOTS != 0 {
+            "mark retired snapshot checkpoints (bit 5)"
+        } else if (flags >> 3) & 0b11 == Self::BACKEND_BALANCED {
+            "use the retired balanced backend (id 1)"
+        } else {
+            return Ok(());
+        };
+        Err(Error::Corrupt(format!(
+            "container flags {flags:#04x} {retired}; \
+             decompress it with an older build and recompress it"
+        )))
     }
 }
 
@@ -282,6 +293,13 @@ mod tests {
         // Backend id 3 sits inside the known bits but names no backend.
         let err = EngineOptions::tcgen().with_flags(0b0001_1111).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)));
+        // Id 1, the retired balanced backend, is refused by name.
+        match EngineOptions::tcgen().with_flags(0b0000_1111) {
+            Err(Error::Corrupt(msg)) => {
+                assert!(msg.contains("retired balanced backend"), "{msg}")
+            }
+            other => panic!("backend id 1 accepted: {other:?}"),
+        }
     }
 
     #[test]

@@ -6,37 +6,31 @@
 //! modeling or replay), and consume the results in the order the jobs were
 //! submitted so the container bytes come out deterministically.
 //!
-//! Earlier revisions spawned a fresh scoped pool per codec call. A
-//! long-running service cannot afford that: every request would build and
-//! tear down its own threads, and two concurrent requests would fight over
-//! the machine with no shared scheduler. The pool is therefore split in
-//! two layers:
+//! A long-running service cannot afford a fresh set of threads per codec
+//! call: every request would build and tear down its own threads, and two
+//! concurrent requests would fight over the machine with no shared
+//! scheduler. So every [`Pipeline`] registers one **job** with a single
+//! process-global scheduler of *owned* (non-scoped) worker threads, at
+//! the priority of its thread ([`with_job_priority`]) and with a
+//! parallelism cap of its `threads`:
 //!
-//! * [`SharedPool`] — a set of *owned* (non-scoped) worker threads shared
-//!   by every pipeline in the process ([`SharedPool::global`]). Callers
-//!   register a **job** ([`SharedPool::job`]) with a priority, a
-//!   parallelism cap, and a queue capacity, and submit type-erased tasks
-//!   to it. Workers scan all registered jobs and run the
-//!   highest-priority eligible task, round-robin among equal priorities,
-//!   so every live job makes progress and a hot job's tasks are picked up
-//!   by whichever worker frees first (work sharing across jobs). A job's
-//!   `max_parallel` bounds how many workers run it at once, and the pool
-//!   grows its worker set to the *sum* of the parallelism caps of the
-//!   jobs live at registration time — the same thread count the old
-//!   per-call scoped pools would have spawned, minus the per-call spawn
-//!   cost — so no job can starve another of its configured share.
-//!   Submission blocks while a job's queue is at capacity
-//!   (backpressure); dropping the job handle abandons unstarted tasks
-//!   and blocks until in-flight ones finish.
-//!
-//! * [`Pipeline`] — the ordered fan-out/fan-in adapter the codec uses,
-//!   now a thin veneer over a `SharedPool` job. Its API is unchanged
-//!   except that no [`std::thread::scope`] is needed: jobs and worker
-//!   closures may still borrow from the caller's stack (the `'env`
-//!   lifetime), because dropping the pipeline drains its job before the
-//!   borrow ends. A panicking job poisons *its own* pipeline — the
-//!   consumer receives [`WorkerPanicked`] — while the shared workers and
-//!   every other job keep running.
+//! * Workers scan all registered jobs and run the highest-priority
+//!   eligible task, round-robin among equal priorities, so every live job
+//!   makes progress and a hot job's tasks are picked up by whichever
+//!   worker frees first (work sharing across jobs).
+//! * A job's `max_parallel` bounds how many workers run it at once, and
+//!   the pool grows its worker set to the *sum* of the parallelism caps of
+//!   the jobs live at registration time, so no job can starve another of
+//!   its configured share.
+//! * A job's queue is unbounded: each caller bounds how far submission
+//!   runs ahead of consumption itself (the codec's `ahead`).
+//! * Results come back in submission order. Jobs and worker closures may
+//!   borrow from the caller's stack (the `'env` lifetime), because
+//!   dropping the pipeline abandons its unstarted tasks and waits out the
+//!   in-flight ones before the borrow ends.
+//! * A panicking job poisons *its own* pipeline — the consumer receives
+//!   [`WorkerPanicked`] — while the shared workers and every other job
+//!   keep running.
 //!
 //! Per-worker mutable state (e.g. a [`blockzip`] scratch) lives in a pool
 //! of `max_parallel` slots: a task checks a slot out for its duration, so
@@ -44,16 +38,16 @@
 //! tracks keep their `{label}-{index}` names.
 //!
 //! Safety note: `Pipeline` erases its tasks to `'static` to hand them to
-//! the owned workers. This is sound because its drop glue (the contained
-//! [`JobHandle`]) drains the job before `'env` ends; leaking a `Pipeline`
-//! (`mem::forget`) would break that contract, so the type is crate-private
-//! and no call site leaks one.
+//! the owned workers. This is sound because its `Drop` drains the job
+//! before `'env` ends; leaking a `Pipeline` (`mem::forget`) would break
+//! that contract, so the type is crate-private and no call site leaks
+//! one.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use tcgen_telemetry::{PoolStats, Recorder, TrackId};
@@ -90,23 +84,14 @@ fn current_priority() -> u8 {
     JOB_PRIORITY.with(|p| p.get())
 }
 
-/// Configuration for a [`SharedPool`] job.
-pub(crate) struct JobConfig {
-    /// Scheduling priority; higher runs first. Equal priorities share
-    /// workers round-robin.
-    pub priority: u8,
-    /// Most workers allowed on this job at once (≥ 1).
-    pub max_parallel: usize,
-    /// Queue capacity; [`JobHandle::submit`] blocks at this depth.
-    /// `usize::MAX` means the caller bounds submission itself.
-    pub capacity: usize,
-}
-
+/// One pipeline's registration with the scheduler.
 struct Job {
     id: u64,
+    /// Scheduling priority; higher runs first. Equal priorities share
+    /// workers round-robin.
     priority: u8,
+    /// Most workers allowed on this job at once (≥ 1).
     max_parallel: usize,
-    capacity: usize,
     queue: VecDeque<Task>,
     inflight: usize,
 }
@@ -115,182 +100,60 @@ struct PoolState {
     jobs: Vec<Job>,
     next_job: u64,
     workers: usize,
-    shutdown: bool,
     /// Round-robin cursor breaking priority ties across jobs.
     rr: u64,
 }
 
-struct PoolInner {
+impl PoolState {
+    fn job(&mut self, id: u64) -> &mut Job {
+        self.jobs
+            .iter_mut()
+            .find(|j| j.id == id)
+            .expect("job is registered until its pipeline drops")
+    }
+}
+
+/// The worker set shared by every pipeline in the process.
+struct Scheduler {
     state: Mutex<PoolState>,
-    /// Signalled when a task is queued or the pool shuts down.
+    /// Signalled when a task is queued.
     work_ready: Condvar,
-    /// Signalled when a task starts (queue space freed) or finishes
-    /// (in-flight count dropped) — submitters and drainers wait here.
-    job_ready: Condvar,
+    /// Signalled when a task finishes; draining pipelines wait here.
+    task_done: Condvar,
 }
 
-/// A set of owned worker threads shared by many jobs.
-pub(crate) struct SharedPool {
-    inner: Arc<PoolInner>,
-}
+static SCHEDULER: Scheduler = Scheduler {
+    state: Mutex::new(PoolState { jobs: Vec::new(), next_job: 0, workers: 0, rr: 0 }),
+    work_ready: Condvar::new(),
+    task_done: Condvar::new(),
+};
 
-impl SharedPool {
-    /// A pool with no workers yet; workers spawn on demand as jobs
-    /// register. Unit tests build private pools for determinism —
-    /// everything else uses [`SharedPool::global`].
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(PoolInner {
-                state: Mutex::new(PoolState {
-                    jobs: Vec::new(),
-                    next_job: 0,
-                    workers: 0,
-                    shutdown: false,
-                    rr: 0,
-                }),
-                work_ready: Condvar::new(),
-                job_ready: Condvar::new(),
-            }),
-        }
-    }
-
-    /// The process-wide pool every [`Pipeline`] runs on.
-    pub fn global() -> &'static SharedPool {
-        static GLOBAL: OnceLock<SharedPool> = OnceLock::new();
-        GLOBAL.get_or_init(SharedPool::new)
-    }
-
-    /// Registers a job and grows the worker set so that every live job
-    /// can reach its full `max_parallel` concurrently.
-    pub fn job(&self, cfg: JobConfig) -> JobHandle {
-        let max_parallel = cfg.max_parallel.max(1);
-        let mut st = self.inner.state.lock().unwrap();
-        let id = st.next_job;
-        st.next_job += 1;
-        st.jobs.push(Job {
-            id,
-            priority: cfg.priority,
-            max_parallel,
-            capacity: cfg.capacity.max(1),
-            queue: VecDeque::new(),
-            inflight: 0,
-        });
-        let demand: usize = st.jobs.iter().map(|j| j.max_parallel).sum();
-        while st.workers < demand {
-            let inner = Arc::clone(&self.inner);
-            std::thread::Builder::new()
-                .name(format!("tcgen-pool-{}", st.workers))
-                .spawn(move || worker_loop(&inner))
-                .expect("spawn pool worker");
-            st.workers += 1;
-        }
-        drop(st);
-        JobHandle { inner: Arc::clone(&self.inner), id }
-    }
-}
-
-impl Drop for SharedPool {
-    fn drop(&mut self) {
-        // Private pools (tests) release their workers; the global pool
-        // lives for the process and never drops.
-        let mut st = self.inner.state.lock().unwrap();
-        st.shutdown = true;
-        drop(st);
-        self.inner.work_ready.notify_all();
-    }
-}
-
-/// A registered job on a [`SharedPool`]. Dropping it abandons queued
-/// tasks and blocks until in-flight tasks complete, so tasks never
-/// outlive the data their submitter still borrows.
-pub(crate) struct JobHandle {
-    inner: Arc<PoolInner>,
-    id: u64,
-}
-
-impl JobHandle {
-    /// Queues a task, blocking while the job is at capacity.
-    pub fn submit(&self, task: Task) {
-        let mut task = Some(task);
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            let job = st
-                .jobs
-                .iter_mut()
-                .find(|j| j.id == self.id)
-                .expect("job is registered until its handle drops");
-            if job.queue.len() < job.capacity {
-                job.queue.push_back(task.take().unwrap());
-                break;
-            }
-            st = self.inner.job_ready.wait(st).unwrap();
-        }
-        drop(st);
-        self.inner.work_ready.notify_one();
-    }
-
-    /// Tasks queued but not yet started — the backlog depth a new
-    /// submission would join.
-    pub fn pending(&self) -> usize {
-        let st = self.inner.state.lock().unwrap();
-        st.jobs.iter().find(|j| j.id == self.id).map_or(0, |j| j.queue.len())
-    }
-}
-
-impl Drop for JobHandle {
-    fn drop(&mut self) {
-        let abandoned: Vec<Task>;
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            let job = st
-                .jobs
-                .iter_mut()
-                .find(|j| j.id == self.id)
-                .expect("job is registered until its handle drops");
-            // Abandon work nobody will consume (early-error paths)…
-            abandoned = job.queue.drain(..).collect();
-            // …and wait out tasks already on a worker: they may borrow
-            // from the submitter's stack, which outlives this drop.
-            while st.jobs.iter().find(|j| j.id == self.id).is_some_and(|j| j.inflight > 0) {
-                st = self.inner.job_ready.wait(st).unwrap();
-            }
-            st.jobs.retain(|j| j.id != self.id);
-        }
-        drop(abandoned);
-    }
-}
-
-fn worker_loop(inner: &PoolInner) {
+fn worker_loop() {
     loop {
         let (job_id, task) = {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = SCHEDULER.state.lock().unwrap();
             loop {
-                if st.shutdown {
-                    return;
-                }
                 if let Some(picked) = take_task(&mut st) {
                     break picked;
                 }
-                st = inner.work_ready.wait(st).unwrap();
+                st = SCHEDULER.work_ready.wait(st).unwrap();
             }
         };
-        // A task starting frees queue capacity for its submitter.
-        inner.job_ready.notify_all();
         // Tasks wrap their own panic handling (a pipeline poisons
         // itself); this net only keeps the worker alive regardless.
         let _ = catch_unwind(AssertUnwindSafe(task));
-        let mut st = inner.state.lock().unwrap();
+        let mut st = SCHEDULER.state.lock().unwrap();
         let mut more = false;
         if let Some(job) = st.jobs.iter_mut().find(|j| j.id == job_id) {
             job.inflight -= 1;
             more = !job.queue.is_empty() && job.inflight < job.max_parallel;
         }
         drop(st);
-        inner.job_ready.notify_all();
+        SCHEDULER.task_done.notify_all();
         if more {
             // Completing freed this job's parallelism slot; wake a peer
             // in case this worker picks a different job next.
-            inner.work_ready.notify_one();
+            SCHEDULER.work_ready.notify_one();
         }
     }
 }
@@ -336,8 +199,7 @@ pub(crate) struct PoolTelemetry {
 
 impl PoolTelemetry {
     /// Builds the hookup when a recorder is attached; `None` otherwise,
-    /// which makes [`Pipeline::start_instrumented`] behave exactly like
-    /// [`Pipeline::start`].
+    /// which makes [`Pipeline::start`] record nothing.
     pub fn from(
         tel: Option<&Recorder>,
         label: &'static str,
@@ -377,12 +239,11 @@ struct Core<O> {
 /// An ordered fan-out/fan-in queue over the shared worker pool.
 ///
 /// `'env` is the lifetime of everything the jobs and worker closures
-/// borrow; the pipeline cannot outlive it, and its drop glue drains the
-/// underlying pool job first.
+/// borrow; the pipeline cannot outlive it, and its `Drop` drains its
+/// pool job first.
 pub(crate) struct Pipeline<'env, I, O> {
-    /// Dropped first: closes the job, abandons unstarted tasks, and
-    /// joins in-flight ones before any borrowed data can die.
-    job: JobHandle,
+    /// This pipeline's job on the scheduler.
+    job: u64,
     core: Arc<Core<O>>,
     stats: Option<Arc<PoolStats>>,
     next_in: Cell<u64>,
@@ -392,29 +253,16 @@ pub(crate) struct Pipeline<'env, I, O> {
 }
 
 impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
-    /// Starts a pipeline with `threads` parallelism on the global pool.
+    /// Starts a pipeline with `threads` parallelism on the shared pool.
     /// `make_worker` runs once per slot on the calling thread and returns
     /// that slot's job function, which lets each concurrent task own
     /// private mutable state (e.g. a [`blockzip::Scratch`] reused across
     /// jobs).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn start<F, W>(threads: usize, make_worker: F) -> Self
-    where
-        F: Fn() -> W,
-        W: FnMut(I) -> O + Send + 'env,
-    {
-        Self::start_instrumented(threads, None, make_worker)
-    }
-
-    /// [`Pipeline::start`] with optional telemetry: each worker slot gets
-    /// its own timeline track named `{label}-{index}` and wraps every job
-    /// in a span, and submissions record the queue depth they join. With
-    /// `tel` of `None` this is exactly [`Pipeline::start`].
-    pub fn start_instrumented<F, W>(
-        threads: usize,
-        tel: Option<PoolTelemetry>,
-        make_worker: F,
-    ) -> Self
+    ///
+    /// With `tel`, each worker slot gets its own timeline track named
+    /// `{label}-{index}` and wraps every job in a span, and submissions
+    /// record the queue depth they join.
+    pub fn start<F, W>(threads: usize, tel: Option<PoolTelemetry>, make_worker: F) -> Self
     where
         F: Fn() -> W,
         W: FnMut(I) -> O + Send + 'env,
@@ -442,13 +290,29 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
             }),
             done_ready: Condvar::new(),
         });
-        let job = SharedPool::global().job(JobConfig {
-            priority: current_priority(),
-            max_parallel: threads,
-            // Call sites bound how far submission runs ahead of
-            // consumption themselves, exactly as before.
-            capacity: usize::MAX,
-        });
+        let job = {
+            let mut st = SCHEDULER.state.lock().unwrap();
+            let id = st.next_job;
+            st.next_job += 1;
+            st.jobs.push(Job {
+                id,
+                priority: current_priority(),
+                max_parallel: threads,
+                queue: VecDeque::new(),
+                inflight: 0,
+            });
+            // Grow the workers so every live job can reach its full
+            // `max_parallel` concurrently.
+            let demand: usize = st.jobs.iter().map(|j| j.max_parallel).sum();
+            while st.workers < demand {
+                std::thread::Builder::new()
+                    .name(format!("tcgen-pool-{}", st.workers))
+                    .spawn(worker_loop)
+                    .expect("spawn pool worker");
+                st.workers += 1;
+            }
+            id
+        };
         let make_task = {
             let core = Arc::clone(&core);
             Box::new(move |seq: u64, input: I| -> Box<dyn FnOnce() + Send + 'env> {
@@ -466,24 +330,28 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
         Self { job, core, stats, next_in: Cell::new(0), make_task, _env: PhantomData }
     }
 
-    /// Enqueues a job. The adapter's queue is unbounded; the caller is
-    /// responsible for bounding how far submission runs ahead of
-    /// consumption.
+    /// Enqueues a job. The queue is unbounded; the caller is responsible
+    /// for bounding how far submission runs ahead of consumption.
     pub fn submit(&self, input: I) {
-        if let Some(stats) = &self.stats {
-            // Depth of the backlog this job joins, before it is queued.
-            stats.on_submit(self.job.pending());
-        }
         let seq = self.next_in.get();
         self.next_in.set(seq + 1);
         let task = (self.make_task)(seq, input);
-        // SAFETY: the task borrows at most `'env` data. `self.job` is
-        // dropped before `'env` ends (the pipeline is bound by `'env`
-        // and is never leaked), and its drop drains this task — run to
-        // completion or dropped on the submitting thread — first.
+        // SAFETY: the task borrows at most `'env` data. The pipeline's
+        // `Drop` runs before `'env` ends (the pipeline is bound by `'env`
+        // and is never leaked), and it drains this task — run to
+        // completion on a worker or dropped on the submitting thread —
+        // first.
         let task: Task =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(task) };
-        self.job.submit(task);
+        let mut st = SCHEDULER.state.lock().unwrap();
+        let queue = &mut st.job(self.job).queue;
+        if let Some(stats) = &self.stats {
+            // Depth of the backlog this job joins, before it is queued.
+            stats.on_submit(queue.len());
+        }
+        queue.push_back(task);
+        drop(st);
+        SCHEDULER.work_ready.notify_one();
     }
 
     /// Blocks until the result of the oldest unconsumed submission is
@@ -507,6 +375,24 @@ impl<'env, I: Send + 'env, O: Send + 'env> Pipeline<'env, I, O> {
             }
             st = self.core.done_ready.wait(st).unwrap();
         }
+    }
+}
+
+impl<I, O> Drop for Pipeline<'_, I, O> {
+    /// Abandons unstarted tasks and blocks until in-flight ones finish,
+    /// so no task outlives the data its submitter still borrows.
+    fn drop(&mut self) {
+        let mut st = SCHEDULER.state.lock().unwrap();
+        // Abandon work nobody will consume (early-error paths)…
+        let abandoned: Vec<Task> = st.job(self.job).queue.drain(..).collect();
+        // …and wait out tasks already on a worker: they may borrow from
+        // the submitter's stack, which outlives this drop.
+        while st.job(self.job).inflight > 0 {
+            st = SCHEDULER.task_done.wait(st).unwrap();
+        }
+        st.jobs.retain(|j| j.id != self.job);
+        drop(st);
+        drop(abandoned);
     }
 }
 
@@ -557,12 +443,10 @@ fn run_one<I, O, W: FnMut(I) -> O>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
 
     #[test]
     fn results_come_back_in_submission_order() {
-        let pipe = Pipeline::start(4, || {
+        let pipe = Pipeline::start(4, None, || {
             |n: u64| {
                 // Stagger so later submissions often finish first.
                 std::thread::sleep(std::time::Duration::from_micros(500 - n % 500));
@@ -579,7 +463,7 @@ mod tests {
 
     #[test]
     fn interleaved_submit_and_consume() {
-        let pipe = Pipeline::start(2, || |n: usize| n + 1);
+        let pipe = Pipeline::start(2, None, || |n: usize| n + 1);
         let mut expect = 0;
         for round in 0..50usize {
             pipe.submit(round * 2);
@@ -601,7 +485,7 @@ mod tests {
     fn jobs_may_borrow_from_the_callers_stack() {
         let data: Vec<u32> = (0..64).collect();
         let slices: Vec<&[u32]> = data.chunks(8).collect();
-        let pipe = Pipeline::start(3, || |s: &[u32]| s.iter().sum::<u32>());
+        let pipe = Pipeline::start(3, None, || |s: &[u32]| s.iter().sum::<u32>());
         for s in &slices {
             pipe.submit(s);
         }
@@ -612,7 +496,7 @@ mod tests {
 
     #[test]
     fn worker_panic_is_reported_not_deadlocked() {
-        let pipe = Pipeline::start(2, || {
+        let pipe = Pipeline::start(2, None, || {
             |n: u32| {
                 assert!(n != 5, "boom");
                 n
@@ -635,8 +519,8 @@ mod tests {
 
     #[test]
     fn panic_poisons_only_its_own_pipeline() {
-        let bad = Pipeline::start(2, || |_: u32| -> u32 { panic!("boom") });
-        let good = Pipeline::start(2, || |n: u32| n * 2);
+        let bad = Pipeline::start(2, None, || |_: u32| -> u32 { panic!("boom") });
+        let good = Pipeline::start(2, None, || |n: u32| n * 2);
         bad.submit(1);
         for n in 0..32u32 {
             good.submit(n);
@@ -653,7 +537,7 @@ mod tests {
         // Sleep-bound jobs overlap even on a single CPU: 8 × 100 ms on 4
         // workers must take far less than the 800 ms serial time.
         let start = std::time::Instant::now();
-        let pipe = Pipeline::start(4, || {
+        let pipe = Pipeline::start(4, None, || {
             |n: u32| {
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 n
@@ -678,13 +562,13 @@ mod tests {
         // pool must run them side by side (4 workers total), so the
         // wall clock stays far under the 800 ms serial time.
         let start = std::time::Instant::now();
-        let a = Pipeline::start(2, || {
+        let a = Pipeline::start(2, None, || {
             |n: u32| {
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 n
             }
         });
-        let b = Pipeline::start(2, || {
+        let b = Pipeline::start(2, None, || {
             |n: u32| {
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 n + 100
@@ -709,7 +593,7 @@ mod tests {
     fn instrumented_pool_records_tracks_spans_and_depth() {
         let rec = Recorder::new();
         {
-            let pipe = Pipeline::start_instrumented(
+            let pipe = Pipeline::start(
                 3,
                 PoolTelemetry::from(Some(&rec), "pack", "pack.segment"),
                 || |n: u64| n + 1,
@@ -736,12 +620,12 @@ mod tests {
 
     #[test]
     fn dropping_with_unconsumed_work_does_not_hang() {
-        let pipe = Pipeline::start(2, || |n: u32| n);
+        let pipe = Pipeline::start(2, None, || |n: u32| n);
         for n in 0..1000u32 {
             pipe.submit(n);
         }
         assert_eq!(pipe.next().unwrap(), 0);
-        // Dropping here abandons the rest; the handle must still drain.
+        // Dropping here abandons the rest; the pipeline must still drain.
     }
 
     #[test]
@@ -754,7 +638,6 @@ mod tests {
             id,
             priority,
             max_parallel: 1,
-            capacity: 4,
             queue: (0..queued).map(|_| Box::new(|| {}) as Task).collect(),
             inflight,
         };
@@ -762,7 +645,6 @@ mod tests {
             jobs: vec![job(0, 0, 1, 0), job(1, 1, 0, 1), job(2, 9, 0, 1)],
             next_job: 3,
             workers: 1,
-            shutdown: false,
             rr: 0,
         };
         let tags = ["gate", "low", "high"];
@@ -770,41 +652,6 @@ mod tests {
             .map(|(id, _)| tags[id as usize])
             .collect();
         assert_eq!(order, ["high", "low"]);
-    }
-
-    #[test]
-    fn bounded_submission_blocks_until_space_frees() {
-        // 1 worker, capacity-1 queue: with the worker blocked and one
-        // task queued, a further submit must block until the worker
-        // dequeues the first task.
-        let pool = SharedPool::new();
-        let job = Arc::new(pool.job(JobConfig { priority: 0, max_parallel: 1, capacity: 1 }));
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        job.submit(Box::new(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        }));
-        started_rx.recv().unwrap();
-        job.submit(Box::new(|| {})); // fills the capacity-1 queue
-        let submitted = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let job = Arc::clone(&job);
-            let submitted = Arc::clone(&submitted);
-            std::thread::spawn(move || {
-                job.submit(Box::new(|| {}));
-                submitted.store(true, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        assert!(
-            !submitted.load(Ordering::SeqCst),
-            "submit returned while the queue was at capacity"
-        );
-        release_tx.send(()).unwrap();
-        handle.join().unwrap();
-        assert!(submitted.load(Ordering::SeqCst));
-        drop(Arc::try_unwrap(job).ok());
     }
 
     #[test]

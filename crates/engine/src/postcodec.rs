@@ -1,23 +1,18 @@
-//! The pluggable post-compression stage: every predictor-code and
-//! miss-value segment passes through a [`PostCodec`], and which
-//! implementation ran is recorded per container in the flags byte, so
-//! decompression dispatches on the container rather than on local
-//! configuration.
+//! The post-compression stage: every predictor-code and miss-value
+//! segment passes through a [`PostCodec`], and which backend ran is
+//! recorded per container in the flags byte, so decompression dispatches
+//! on the container rather than on local configuration.
 //!
-//! Three backends ship today, surfaced on the CLI as
-//! `--profile fast|balanced|max`:
+//! Two backends ship, surfaced on the CLI as `--profile fast|max`:
 //!
 //! * [`Backend::Max`] — the full blockzip pipeline (BWT → MTF → RLE →
 //!   Huffman). The default, and the id-zero encoding, so containers
 //!   written before backends existed decode unchanged.
-//! * [`Backend::Balanced`] — blockzip without the BWT
-//!   ([`blockzip::nosort`]): most of the ratio on pre-clustered trace
-//!   streams, none of the suffix-sort cost.
 //! * [`Backend::Fast`] — an order-0 adaptive binary range coder with
 //!   stored-block fallback ([`blockzip::range`]).
 //!
-//! Later throughput work (SIMD entropy stages, zstd-style backends) slots
-//! in as one more [`PostCodec`] implementation and one more id.
+//! Id 1 belonged to the retired `balanced` backend (blockzip without the
+//! BWT); every path that reads container flags refuses it by name.
 
 use tcgen_telemetry::Recorder;
 
@@ -30,30 +25,27 @@ pub enum Backend {
     /// Full blockzip: best ratio, slowest (id 0, the default).
     #[default]
     Max,
-    /// MTF + RLE + Huffman without the BWT sort (id 1).
-    Balanced,
     /// Order-0 adaptive range coder with store fallback (id 2).
     Fast,
 }
 
 impl Backend {
     /// Every backend, in id order.
-    pub const ALL: [Backend; 3] = [Backend::Max, Backend::Balanced, Backend::Fast];
+    pub const ALL: [Backend; 2] = [Backend::Max, Backend::Fast];
 
     /// The two-bit id recorded in the container flags byte.
     pub const fn id(self) -> u8 {
         match self {
             Backend::Max => 0,
-            Backend::Balanced => 1,
             Backend::Fast => 2,
         }
     }
 
-    /// Resolves a flags-byte id; `None` for the reserved id 3.
+    /// Resolves a flags-byte id; `None` for the retired id 1 and the
+    /// reserved id 3.
     pub const fn from_id(id: u8) -> Option<Self> {
         match id {
             0 => Some(Backend::Max),
-            1 => Some(Backend::Balanced),
             2 => Some(Backend::Fast),
             _ => None,
         }
@@ -63,26 +55,19 @@ impl Backend {
     pub const fn profile(self) -> &'static str {
         match self {
             Backend::Max => "max",
-            Backend::Balanced => "balanced",
             Backend::Fast => "fast",
         }
     }
 
     /// Resolves a CLI profile name.
     pub fn from_profile(name: &str) -> Option<Self> {
-        match name {
-            "max" => Some(Backend::Max),
-            "balanced" => Some(Backend::Balanced),
-            "fast" => Some(Backend::Fast),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|b| b.profile() == name)
     }
 
     /// Telemetry span name for packing one segment with this backend.
     pub(crate) const fn pack_span(self) -> &'static str {
         match self {
             Backend::Max => "pack.segment.max",
-            Backend::Balanced => "pack.segment.balanced",
             Backend::Fast => "pack.segment.fast",
         }
     }
@@ -91,32 +76,38 @@ impl Backend {
     pub(crate) const fn unpack_span(self) -> &'static str {
         match self {
             Backend::Max => "unpack.segment.max",
-            Backend::Balanced => "unpack.segment.balanced",
             Backend::Fast => "unpack.segment.fast",
         }
     }
 
     /// Builds a codec instance. Each worker thread owns one, so the
     /// backing scratch buffers are reused across that worker's segments.
-    pub fn codec(self, level: Level) -> Box<dyn PostCodec> {
-        match self {
-            Backend::Max => Box::new(MaxCodec { level, scratch: Scratch::default() }),
-            Backend::Balanced => Box::new(BalancedCodec { level, scratch: Scratch::default() }),
-            Backend::Fast => Box::new(FastCodec { level, scratch: Scratch::default() }),
-        }
+    pub fn codec(self, level: Level) -> PostCodec {
+        PostCodec { backend: self, level, scratch: Scratch::default() }
     }
 }
 
 /// One post-compression backend instance: compresses and decompresses
-/// stream segments. Implementations own their scratch state, so a single
-/// instance serves one thread's segments back to back.
-pub trait PostCodec: Send {
-    /// The backend this codec implements.
-    fn backend(&self) -> Backend;
+/// stream segments. It owns its scratch state, so a single instance
+/// serves one thread's segments back to back.
+#[derive(Debug)]
+pub struct PostCodec {
+    backend: Backend,
+    level: Level,
+    scratch: Scratch,
+}
+
+impl PostCodec {
+    /// The backend this codec runs.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
 
     /// Attaches stage-timing probes feeding `blockzip.*` counters.
     /// Observation-only: output bytes are unchanged.
-    fn attach_probes(&mut self, recorder: &Recorder);
+    pub fn attach_probes(&mut self, recorder: &Recorder) {
+        self.scratch.attach_probes(recorder);
+    }
 
     /// Compresses one segment payload.
     ///
@@ -124,7 +115,16 @@ pub trait PostCodec: Send {
     ///
     /// Returns [`blockzip::Error::TooLarge`] if a framing field would
     /// overflow.
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error>;
+    pub fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
+        match self.backend {
+            Backend::Max => {
+                blockzip::compress_with_scratch(payload, self.level, &mut self.scratch)
+            }
+            Backend::Fast => {
+                blockzip::range::compress_with_scratch(payload, self.level, &mut self.scratch)
+            }
+        }
+    }
 
     /// Decompresses one segment, failing if the output would exceed
     /// `max_len` bytes.
@@ -133,91 +133,19 @@ pub trait PostCodec: Send {
     ///
     /// Returns a [`blockzip::Error`] on any framing, entropy, or CRC
     /// failure.
-    fn decompress(
-        &mut self,
-        segment: &[u8],
-        max_len: usize,
-    ) -> Result<Vec<u8>, blockzip::Error>;
-}
-
-struct MaxCodec {
-    level: Level,
-    scratch: Scratch,
-}
-
-impl PostCodec for MaxCodec {
-    fn backend(&self) -> Backend {
-        Backend::Max
-    }
-
-    fn attach_probes(&mut self, recorder: &Recorder) {
-        self.scratch.attach_probes(recorder);
-    }
-
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::compress_with_scratch(payload, self.level, &mut self.scratch)
-    }
-
-    fn decompress(
+    pub fn decompress(
         &mut self,
         segment: &[u8],
         max_len: usize,
     ) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::decompress_with_scratch(segment, max_len, &mut self.scratch)
-    }
-}
-
-struct BalancedCodec {
-    level: Level,
-    scratch: Scratch,
-}
-
-impl PostCodec for BalancedCodec {
-    fn backend(&self) -> Backend {
-        Backend::Balanced
-    }
-
-    fn attach_probes(&mut self, recorder: &Recorder) {
-        self.scratch.attach_probes(recorder);
-    }
-
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::nosort::compress_with_scratch(payload, self.level, &mut self.scratch)
-    }
-
-    fn decompress(
-        &mut self,
-        segment: &[u8],
-        max_len: usize,
-    ) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::nosort::decompress_with_scratch(segment, max_len, &mut self.scratch)
-    }
-}
-
-struct FastCodec {
-    level: Level,
-    scratch: Scratch,
-}
-
-impl PostCodec for FastCodec {
-    fn backend(&self) -> Backend {
-        Backend::Fast
-    }
-
-    fn attach_probes(&mut self, recorder: &Recorder) {
-        self.scratch.attach_probes(recorder);
-    }
-
-    fn compress(&mut self, payload: &[u8]) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::range::compress_with_scratch(payload, self.level, &mut self.scratch)
-    }
-
-    fn decompress(
-        &mut self,
-        segment: &[u8],
-        max_len: usize,
-    ) -> Result<Vec<u8>, blockzip::Error> {
-        blockzip::range::decompress_with_scratch(segment, max_len, &mut self.scratch)
+        match self.backend {
+            Backend::Max => {
+                blockzip::decompress_with_scratch(segment, max_len, &mut self.scratch)
+            }
+            Backend::Fast => {
+                blockzip::range::decompress_with_scratch(segment, max_len, &mut self.scratch)
+            }
+        }
     }
 }
 
@@ -231,7 +159,10 @@ mod tests {
             assert_eq!(Backend::from_id(backend.id()), Some(backend));
             assert_eq!(Backend::from_profile(backend.profile()), Some(backend));
         }
+        // Id 1 and "balanced" named the retired sort-free backend.
+        assert_eq!(Backend::from_id(1), None);
         assert_eq!(Backend::from_id(3), None);
+        assert_eq!(Backend::from_profile("balanced"), None);
         assert_eq!(Backend::from_profile("fastest"), None);
         assert_eq!(Backend::Max.id(), 0, "id 0 must stay the legacy blockzip encoding");
     }

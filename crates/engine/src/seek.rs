@@ -79,12 +79,13 @@ pub struct ContainerInfo {
 ///
 /// # Errors
 ///
-/// [`StreamError::Codec`] on a malformed prelude or footer or on the
-/// retired snapshot-checkpoint flag, and I/O errors from the reader.
+/// [`StreamError::Codec`] on a malformed prelude or footer or on flags
+/// that mark a retired layout (snapshot checkpoints, the `balanced`
+/// backend), and I/O errors from the reader.
 pub fn inspect(reader: &mut (impl Read + Seek)) -> Result<ContainerInfo, StreamError> {
     let mut frames = FrameReader::seekable(reader, None)?;
     let prelude = frames.prelude()?;
-    EngineOptions::reject_snapshots(prelude.flags)?;
+    EngineOptions::reject_retired(prelude.flags)?;
     let checkpointed = prelude.flags & EngineOptions::FLAG_SPANS != 0;
     let mut info = ContainerInfo {
         version: container::VERSION,

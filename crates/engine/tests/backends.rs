@@ -162,20 +162,19 @@ fn empty_trace_roundtrips_under_every_profile() {
 }
 
 /// The profiles genuinely trade ratio for speed on a predictable trace:
-/// max compresses at least as well as balanced, which beats fast's
-/// order-0 model on heavily structured code streams.
+/// max compresses at least as well as fast's order-0 model on heavily
+/// structured code streams.
 #[test]
 fn profiles_order_by_ratio_on_structured_data() {
     let raw = demo_trace(20_000);
     let size = |backend| {
         Engine::new(spec(), options(backend, 0, 1)).compress(&raw).expect("compress").len()
     };
-    let (max, balanced, fast) =
-        (size(Backend::Max), size(Backend::Balanced), size(Backend::Fast));
-    assert!(max <= balanced, "max {max} should not lose to balanced {balanced}");
+    let (max, fast) = (size(Backend::Max), size(Backend::Fast));
+    assert!(max <= fast, "max {max} should not lose to fast {fast}");
     assert!(
-        max < raw.len() / 10 && balanced < raw.len() / 4 && fast < raw.len(),
-        "all profiles compress: max {max}, balanced {balanced}, fast {fast} of {}",
+        max < raw.len() / 10 && fast < raw.len(),
+        "all profiles compress: max {max}, fast {fast} of {}",
         raw.len()
     );
 }

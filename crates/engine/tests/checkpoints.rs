@@ -405,15 +405,22 @@ fn every_span_is_a_fresh_plain_container() {
     }
 }
 
-/// Flag bit 5 marked the retired snapshot-checkpoint layout. Every path
-/// that reads flags refuses it by name, on plain and on span containers.
+/// Flag bit 5 marked the retired snapshot-checkpoint layout, and backend
+/// id 1 (bits 3–4 = `01`) the retired balanced backend. Every path that
+/// reads flags refuses each by name, on plain and on span containers.
 #[test]
 fn retired_snapshot_flag_is_refused_by_every_entry_point() {
     let raw = demo_trace(600);
-    for interval in [0usize, 2] {
+    let retired = [
+        (0b0010_0000u8, "retired snapshot checkpoints"),
+        (0b0000_1000, "retired balanced backend"),
+    ];
+    let forgeries = [0usize, 2].into_iter().flat_map(|interval| retired.map(|r| (interval, r)));
+    for (interval, (bits, name)) in forgeries {
         let opts = options(interval, 1);
         let mut forged = Engine::new(spec(), opts).compress(&raw).expect("compress");
-        forged[5] |= 0b0010_0000;
+        assert_eq!(forged[5] & 0b0001_1000, 0, "written with the max backend");
+        forged[5] |= bits;
         let results = [
             ("decompress", Engine::new(spec(), opts).decompress(&forged).map(drop)),
             (
@@ -443,10 +450,9 @@ fn retired_snapshot_flag_is_refused_by_every_entry_point() {
         ];
         for (entry, result) in results {
             match result {
-                Err(Error::Corrupt(msg)) => assert!(
-                    msg.contains("retired snapshot checkpoints"),
-                    "interval {interval}, {entry}: {msg}"
-                ),
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.contains(name), "interval {interval}, {entry}: {msg}")
+                }
                 other => panic!("interval {interval}, {entry}: {other:?}"),
             }
         }

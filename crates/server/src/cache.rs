@@ -226,8 +226,11 @@ mod tests {
         let cache = EngineCache::new(2);
         assert!(cache.get(&key("not a spec"), None).is_err());
         let mut bad = key(SPEC_A);
-        bad.profile = 9;
-        assert!(cache.get(&bad, None).is_err());
+        // Profile 1 named the retired balanced backend.
+        for profile in [1, 9] {
+            bad.profile = profile;
+            assert!(cache.get(&bad, None).is_err(), "profile {profile}");
+        }
         assert!(cache.is_empty());
     }
 }

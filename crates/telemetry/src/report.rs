@@ -198,7 +198,9 @@ impl Report {
 
     /// Derived throughput figures for top-level operations that recorded
     /// both a span and byte/record counters: `(op, mb_per_s,
-    /// records_per_s)` for each of `compress` / `decompress` present.
+    /// records_per_s)` for each of `compress` / `decompress` present,
+    /// where `mb_per_s` counts trace bytes (`compress.bytes_in`,
+    /// `decompress.bytes_out`).
     pub fn derived(&self) -> Vec<(String, f64, f64)> {
         let mut out = Vec::new();
         for op in ["compress", "decompress"] {
@@ -207,7 +209,10 @@ impl Report {
                 continue;
             }
             let secs = stage.total_ns as f64 / 1e9;
-            let bytes_key = format!("{op}.bytes_in");
+            // Trace bytes either way: what compress reads, what
+            // decompress writes.
+            let trace_bytes = if op == "compress" { "bytes_in" } else { "bytes_out" };
+            let bytes_key = format!("{op}.{trace_bytes}");
             let records_key = format!("{op}.records");
             let mb_per_s = self
                 .counter(&bytes_key)
@@ -469,15 +474,26 @@ mod tests {
         });
         rec.counter("compress.bytes_in").add(1 << 20);
         rec.counter("compress.records").add(1000);
+        // A decompress whose container (bytes in) is a tenth of the trace
+        // it writes (bytes out).
+        rec.time(TrackId::DRIVER, "decompress", || {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
+        rec.counter("decompress.bytes_in").add(1 << 20);
+        rec.counter("decompress.bytes_out").add(10 << 20);
         let report = rec.report();
         assert_eq!(report.stage("pack.segment").unwrap().count, 3);
         assert_eq!(report.stage("compress").unwrap().count, 1);
         assert_eq!(report.tracks[1].spans, 3);
         assert_eq!(report.counter("compress.records"), Some(1000));
         let derived = report.derived();
-        assert_eq!(derived.len(), 1);
+        assert_eq!(derived.len(), 2);
         assert_eq!(derived[0].0, "compress");
         assert!(derived[0].1 > 0.0);
+        // Both lines report MB/s of trace: decompress divides bytes out.
+        let secs = report.stage("decompress").unwrap().total_ns as f64 / 1e9;
+        assert_eq!(derived[1].0, "decompress");
+        assert_eq!(derived[1].1, 10.0 / secs);
     }
 
     #[test]

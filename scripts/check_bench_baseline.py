@@ -11,10 +11,10 @@ exactly; any deviation means an engine change altered the emitted
 streams and fails the check. Throughput numbers vary with the runner's
 hardware and are printed for information only.
 
-The `TCgen-fast` and `TCgen-balanced` profile rows are the exception:
-their backends are free to improve their encodings, so their sizes are
-reported but not enforced. Only the default `--profile max` container
-(the `TCgen` row) is golden-pinned. The `checkpoint_speed` object is
+The `TCgen-fast` profile rows are the exception: that backend is free
+to improve its encoding, so their sizes are reported but not enforced.
+Only the default `--profile max` container (the `TCgen` row) is
+golden-pinned. The `checkpoint_speed` object is
 likewise informational: checkpointed containers restart their
 predictors at every span, so their sizes and timings depend on the
 span layout, which may evolve freely.
@@ -32,7 +32,7 @@ import sys
 
 # Profile rows whose compressed sizes are informational, not enforced:
 # only the default max-profile container format is golden-pinned.
-SIZE_INFORMATIONAL = {"TCgen-fast", "TCgen-balanced"}
+SIZE_INFORMATIONAL = {"TCgen-fast"}
 
 
 def rows(path):
@@ -102,7 +102,7 @@ def profile_speed(baseline_path, path):
     """Prints the per-profile timing on the big reference trace, if recorded.
 
     Informational only: wall times depend on the runner, and the fast
-    and balanced encodings are free to evolve. The line keeps the
+    encoding is free to evolve. The line keeps the
     measured trade-off visible in the job log next to the sizes it
     buys, with decompress-throughput deltas against the baseline run.
     """
