@@ -110,6 +110,13 @@ fn usage() -> String {
      \x20                   trace when omitted. Without a checkpoint footer,\n\
      \x20                   cat falls back to a sequential decompress\n\
      \n\
+     serve:\n\
+     --max-jobs N       job workers, and so jobs run at once (default 4;\n\
+     \x20                   0 = 1). Each keeps its last job's predictor\n\
+     \x20                   table set for the next, so the daemon holds at\n\
+     \x20                   most N idle sets; further jobs queue and start\n\
+     \x20                   highest --priority first\n\
+     \n\
      serve observability (never changes container bytes):\n\
      --metrics-addr A   also serve GET /metrics (Prometheus text) and\n\
      \x20                   /healthz over HTTP on A (e.g. 127.0.0.1:9464)\n\

@@ -33,10 +33,11 @@
 //! `FieldBank::reset`, which clears only the lines the occupancy maps
 //! mark; any other tag frees the parked set and builds a new one. A span
 //! start resets the set in place. A thread holds at most one idle set,
-//! never shares it, and frees it when it exits or calls
-//! [`drop_idle_tables`]. Set-up runs under a `tables.setup` driver span
-//! and counts into `tables.built` or `tables.reused` on the call's
-//! recorder; a seek, which opens no driver spans, reports neither.
+//! never shares it, and frees it when it exits; long-lived threads, such
+//! as `tcgen serve`'s job workers, keep theirs warm between calls.
+//! Set-up runs under a `tables.setup` driver span and counts into
+//! `tables.built` or `tables.reused` on the call's recorder; a seek,
+//! which opens no driver spans, reports neither.
 
 use std::cell::RefCell;
 
@@ -64,14 +65,6 @@ thread_local! {
     /// The bank set this thread's last modeler or replayer finished
     /// with, not yet reset.
     static PARKED: RefCell<Option<Parked>> = const { RefCell::new(None) };
-}
-
-/// Frees the bank set the calling thread keeps idle between calls, if
-/// any. A thread that makes no further engine call, such as a per-job
-/// worker, calls this to return the memory at once instead of when it
-/// exits.
-pub fn drop_idle_tables() {
-    let _ = PARKED.try_with(|slot| slot.borrow_mut().take());
 }
 
 /// Starts a `tables.setup` span and counts one set `tables.built` or

@@ -38,11 +38,13 @@ pub mod seek;
 pub mod streams;
 pub mod usage;
 
+/// The post-compression codecs, re-exported so engine users need not
+/// depend on `blockzip` directly.
+pub use blockzip;
 pub use codec::{
     compress_stream, compress_stream_with_telemetry, decompress_stream,
     decompress_stream_with_telemetry,
 };
-pub use columnar::drop_idle_tables;
 pub use evaluate::{score_candidates, score_candidates_with_telemetry, CandidateScore};
 pub use options::EngineOptions;
 pub use pool::with_job_priority;
@@ -191,8 +193,7 @@ impl From<Error> for StreamError {
 /// its last call used and resets it in place — clearing only the lines
 /// that call wrote — for its next call with the same specification and
 /// predictor options, instead of allocating a new one. A thread holds at
-/// most one idle set and frees it when it exits, or at
-/// [`drop_idle_tables`].
+/// most one idle set and frees it when it exits.
 #[derive(Debug, Clone)]
 pub struct Engine {
     spec: TraceSpec,

@@ -158,20 +158,3 @@ fn cross_options_decode_between_calls() {
     let vpc3_b = on_fresh_thread(|| vpc3.compress(&b).unwrap());
     assert_eq!(vpc3.compress(&b).unwrap(), vpc3_b);
 }
-
-/// `drop_idle_tables` frees the thread's set: the next call builds one.
-#[test]
-fn dropping_idle_tables_makes_the_next_call_build() {
-    let raw = trace(9, 500);
-    let counts = on_fresh_thread(|| {
-        let rec = tcgen_engine::Recorder::new();
-        let engine = Engine::new(spec(), EngineOptions::tcgen()).with_telemetry(rec.clone());
-        let packed = engine.compress(&raw).unwrap();
-        assert_eq!(engine.decompress(&packed).unwrap(), raw);
-        tcgen_engine::drop_idle_tables();
-        assert_eq!(engine.compress(&raw).unwrap(), packed);
-        let report = rec.report();
-        (report.counter("tables.built"), report.counter("tables.reused"))
-    });
-    assert_eq!(counts, (Some(2), Some(1)));
-}

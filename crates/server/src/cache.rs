@@ -5,9 +5,10 @@
 //! fielding thousands of small jobs for the same handful of specs should
 //! pay it once. An [`Engine`] is stateless across calls: each
 //! compress/decompress starts from zeroed predictor tables, which live
-//! with the calling thread rather than the engine (a job thread builds
-//! its own set and frees it when its engine call returns), so one cached
-//! instance can serve any number of concurrent jobs through an [`Arc`].
+//! with the calling thread rather than the engine (each daemon job
+//! worker keeps the set its last job used and resets it for the next),
+//! so one cached instance can serve any number of concurrent jobs
+//! through an [`Arc`].
 //!
 //! The key is the *source text* of the spec plus the option fields that
 //! are recorded in or affect the container: backend profile, thread

@@ -2,33 +2,56 @@
 //!
 //! One daemon process hosts any number of client connections, each of
 //! which can carry several jobs at once (frames are demultiplexed by
-//! request id). All jobs from all connections land on the same
-//! process-global worker pool inside the engine, so a daemon is a
-//! genuinely multi-tenant service: a flood of small jobs and one huge
-//! compression share workers, with per-job priorities deciding who runs
-//! first.
+//! request id). Jobs from all connections run on the daemon's job
+//! workers, and their block fan-out lands on the engine's one
+//! process-global worker pool, so a daemon is a genuinely multi-tenant
+//! service: a flood of small jobs and one huge compression share
+//! workers, with per-job priorities deciding who runs first.
 //!
-//! Concurrency is bounded twice. [`ServeOptions::max_jobs`] caps how
-//! many jobs *execute* at once (accepted jobs beyond that wait in line,
-//! which is the service-level backpressure), and the engine's own
-//! bounded pipelines apply backpressure inside each job. A panicking
-//! job — an engine bug — is caught at the job boundary and reported as
-//! an `RSP_ERR` frame for that request id; the daemon, its cache, and
-//! its pool all keep serving.
+//! ## Job workers
+//!
+//! At most [`ServeOptions::max_jobs`] long-lived workers run jobs, one
+//! at a time each. They start on demand. A new job goes to the most
+//! recently idle worker, whose predictor table set is the warmest: the
+//! engine keeps each thread's last set and resets it for the thread's
+//! next call instead of building one. A new worker starts only when no
+//! worker is idle or finishing a job. Otherwise the job queues, which is
+//! the service-level backpressure (`serve.backpressure_waits`), and
+//! queued jobs start highest `priority` byte first, oldest first among
+//! equals. A worker is free for the next job once its engine call
+//! returns: it writes the previous result, then takes the job. So a
+//! closed-loop client's next request waits for the worker that served
+//! it, instead of racing that write and starting another worker with
+//! another table set.
+//!
+//! Memory is bounded by the workers: each keeps at most one idle table
+//! set (about 20 MB for TCGEN_A), so a daemon holds at most `max_jobs`
+//! of them, and none once a shutdown drain has retired its workers.
+//! Workers belong to the daemon rather than to the engine pool because
+//! a served job blocks its thread until its own block tasks finish: as
+//! a task on that pool it would wait on the workers it occupies.
+//!
+//! Concurrency is also bounded inside each job by the engine's own
+//! bounded pipelines. A panicking job — an engine bug — is caught at the
+//! job boundary and reported as an `RSP_ERR` frame for that request id;
+//! the daemon, its cache, its workers and its pool all keep serving.
 //!
 //! Shutdown is graceful by construction: `REQ_SHUTDOWN` flips a flag so
-//! no new job is accepted, then waits until every accepted job has
-//! finished before acknowledging and stopping the accept loop.
+//! no new job is accepted, then waits until every accepted job has put
+//! its result on the wire and every worker has exited before
+//! acknowledging and stopping the accept loop.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
-use tcgen_engine::{drop_idle_tables, Recorder};
+use tcgen_engine::Recorder;
 use tcgen_telemetry::{with_trace_id, PoolStats, TrackId, WindowSnapshot};
 
 use crate::cache::EngineCache;
@@ -48,11 +71,15 @@ const SAMPLE_CAPACITY: usize = 300;
 /// before the daemon calls it abuse and closes the connection.
 pub const MAX_OPEN_REQUESTS: usize = 64;
 
+/// Why the admission lock is never poisoned: its holders only count,
+/// queue and hand off jobs, none of which panics.
+const ADMISSION_LOCK: &str = "no thread panics holding the admission lock";
+
 /// Tunables for one daemon instance.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Jobs allowed to execute concurrently; further accepted jobs
-    /// queue. Zero means one.
+    /// Job workers, and so jobs executing at once; further accepted
+    /// jobs queue. Zero means one.
     pub max_jobs: usize,
     /// Engines kept warm in the spec cache; zero disables caching.
     pub max_cached_engines: usize,
@@ -70,22 +97,64 @@ impl Default for ServeOptions {
     }
 }
 
-struct Limits {
-    /// Jobs accepted (REQ_END seen) and not yet finished.
+/// One accepted job, queued or held by a worker.
+struct Job {
+    request: JobRequest,
+    input: Vec<u8>,
+    writer: SharedWriter,
+    id: u32,
+    /// When the job was accepted; its `serve.wait` span runs from here
+    /// to its start.
+    accepted_at: Instant,
+}
+
+/// Jobs and workers, under one lock.
+#[derive(Default)]
+struct Admission {
+    /// Jobs accepted (REQ_END seen) whose result is not yet on the wire.
     accepted: usize,
-    /// Jobs currently executing (holding one of the `max_jobs` slots).
-    running: usize,
+    /// Accepted jobs no worker has taken yet, keyed so the first entry
+    /// has the highest priority and, among equals, arrived first.
+    queue: BTreeMap<(Reverse<u8>, u64), Job>,
+    /// Arrival number of the next accepted job.
+    arrivals: u64,
+    /// Live workers: running a job, writing its result, or idle.
+    workers: usize,
+    /// Workers writing a result; each takes a queued job next.
+    finishing: usize,
+    /// The hand-off channel of each idle worker, the most recently idle
+    /// last. Dropping one retires its worker.
+    idle: Vec<Sender<Job>>,
     shutting_down: bool,
 }
 
+impl Admission {
+    fn enqueue(&mut self, job: Job) {
+        let key = (Reverse(job.request.priority), self.arrivals);
+        self.arrivals += 1;
+        self.queue.insert(key, job);
+    }
+}
+
+/// What [`Daemon::admit`] did with a job.
+enum Admitted {
+    /// Handed to an idle worker, or queued for the next free one.
+    Placed,
+    /// A worker place was taken for the job; the caller starts the
+    /// worker.
+    StartWorker(Job),
+    /// The daemon is draining.
+    Refused(Job),
+}
+
 /// State shared by the accept loop, every connection thread, and every
-/// job thread.
+/// job worker.
 pub struct Daemon {
     cache: EngineCache,
     recorder: Recorder,
     serve_track: TrackId,
     job_stats: Arc<PoolStats>,
-    limits: Mutex<Limits>,
+    admission: Mutex<Admission>,
     changed: Condvar,
     max_jobs: usize,
     slow_ms: u64,
@@ -110,7 +179,7 @@ impl Daemon {
             recorder,
             serve_track,
             job_stats,
-            limits: Mutex::new(Limits { accepted: 0, running: 0, shutting_down: false }),
+            admission: Mutex::default(),
             changed: Condvar::new(),
             max_jobs,
             slow_ms: options.slow_ms,
@@ -147,15 +216,20 @@ impl Daemon {
         &self.recorder
     }
 
-    /// Accepted jobs currently waiting for an execution slot.
-    pub fn queue_depth(&self) -> u64 {
-        let limits = self.limits.lock().unwrap();
-        limits.accepted.saturating_sub(limits.running) as u64
+    fn lock_admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().expect(ADMISSION_LOCK)
     }
 
-    /// Jobs currently executing.
+    /// Accepted jobs currently waiting for a worker.
+    pub fn queue_depth(&self) -> u64 {
+        self.lock_admission().queue.len() as u64
+    }
+
+    /// Jobs currently executing: workers neither idle nor writing a
+    /// result.
     pub fn running_jobs(&self) -> u64 {
-        self.limits.lock().unwrap().running as u64
+        let admission = self.lock_admission();
+        (admission.workers - admission.idle.len() - admission.finishing) as u64
     }
 
     /// Engines warm in the spec cache.
@@ -163,7 +237,7 @@ impl Daemon {
         self.cache.len() as u64
     }
 
-    /// The execution-slot cap (`--max-jobs`).
+    /// The job-worker cap (`--max-jobs`).
     pub fn max_jobs(&self) -> u64 {
         self.max_jobs as u64
     }
@@ -187,75 +261,200 @@ impl Daemon {
             .unwrap_or(0)
     }
 
-    /// Accepts a job for execution, or refuses because the daemon is
-    /// draining. The queue depth reported to telemetry is how many
-    /// accepted jobs are waiting for an execution slot right now.
-    fn try_accept_job(&self) -> bool {
-        let mut limits = self.limits.lock().unwrap();
-        if limits.shutting_down {
-            return false;
+    /// Accepts `job` and places it: with the most recently idle worker,
+    /// in the queue when a worker is finishing or all `max_jobs` are
+    /// busy, or else with a new worker, whose place it takes. The queue
+    /// depth reported to telemetry is how many accepted jobs wait for a
+    /// worker when this one arrives.
+    fn admit(&self, mut job: Job) -> Admitted {
+        let mut admission = self.lock_admission();
+        if admission.shutting_down {
+            return Admitted::Refused(job);
         }
-        // Depth = jobs already waiting for a slot when this one arrived.
-        self.job_stats.on_submit(limits.accepted.saturating_sub(limits.running));
-        limits.accepted += 1;
+        self.job_stats.on_submit(admission.queue.len());
+        admission.accepted += 1;
         self.recorder.counter("serve.jobs").add(1);
-        true
-    }
-
-    /// Blocks until one of the `max_jobs` execution slots is free.
-    fn acquire_slot(&self) {
-        let mut limits = self.limits.lock().unwrap();
-        if limits.running >= self.max_jobs {
-            // Backpressure engaged: the service is at its concurrency
-            // cap and this job queues. The counter makes that visible
-            // to `stats` (and provable in tests).
-            self.recorder.counter("serve.backpressure_waits").add(1);
+        while let Some(worker) = admission.idle.pop() {
+            match worker.send(job) {
+                Ok(()) => return Admitted::Placed,
+                // Its receiver is gone only if the worker died idle.
+                Err(mpsc::SendError(back)) => {
+                    admission.workers -= 1;
+                    job = back;
+                }
+            }
         }
-        while limits.running >= self.max_jobs {
-            limits = self.changed.wait(limits).unwrap();
+        // Each finishing worker takes one queued job once its result is
+        // written; while one is left over, wait for it rather than start
+        // a worker that would build another table set.
+        if admission.finishing > admission.queue.len() {
+            admission.enqueue(job);
+            return Admitted::Placed;
         }
-        limits.running += 1;
+        if admission.workers < self.max_jobs {
+            admission.workers += 1;
+            return Admitted::StartWorker(job);
+        }
+        // Backpressure engaged: the service is at its concurrency cap
+        // and this job queues. The counter makes that visible to
+        // `stats` (and provable in tests).
+        self.recorder.counter("serve.backpressure_waits").add(1);
+        admission.enqueue(job);
+        Admitted::Placed
     }
 
-    /// Releases the slot and the accepted count; wakes waiters (queued
-    /// jobs and a draining shutdown).
-    fn finish_job(&self) {
-        let mut limits = self.limits.lock().unwrap();
-        limits.running -= 1;
-        limits.accepted -= 1;
-        self.job_stats.on_complete();
-        drop(limits);
+    /// Starts a worker whose first job is `job`, on the place
+    /// [`Daemon::admit`] took for it. If no thread can start, the job is
+    /// answered with an error frame and the place passes to the next
+    /// queued job, which a worker that never started would strand.
+    fn start_worker(self: &Arc<Self>, mut job: Job) {
+        loop {
+            let (writer, id) = (Arc::clone(&job.writer), job.id);
+            let daemon = Arc::clone(self);
+            let started = std::thread::Builder::new()
+                .name("tcgen-serve-job".into())
+                .spawn(move || daemon.work(job));
+            if started.is_ok() {
+                return;
+            }
+            send_error(&writer, id, "internal error: could not start a job worker");
+            match self.worker_not_started() {
+                Some(next) => job = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Releases the accepted count of a job whose worker did not start
+    /// and wakes a draining shutdown. Returns the next queued job, which
+    /// keeps the place, or gives the place back when none waits.
+    fn worker_not_started(&self) -> Option<Job> {
+        let mut admission = self.lock_admission();
+        admission.accepted -= 1;
         self.changed.notify_all();
+        let next = admission.queue.pop_first().map(|(_, job)| job);
+        if next.is_none() {
+            admission.workers -= 1;
+        }
+        next
     }
 
-    /// Releases the accepted count of a job that never ran, and so never
-    /// took a slot; wakes a draining shutdown.
-    fn abandon_job(&self) {
-        self.limits.lock().expect("no thread panics holding the limits lock").accepted -= 1;
-        self.changed.notify_all();
+    /// A worker's life: runs `job`, then every job it takes after it,
+    /// until the daemon drains.
+    fn work(self: Arc<Self>, mut job: Job) {
+        loop {
+            self.run(job);
+            match self.next_job() {
+                Some(next) => job = next,
+                None => return,
+            }
+        }
     }
 
-    /// Flips the shutdown flag and blocks until every accepted job has
-    /// finished. Idempotent; later calls just wait for the drain.
+    /// Runs one job under its trace id, catching a panic, and writes its
+    /// outcome back. The worker counts as finishing from the moment the
+    /// engine call returns, so the next job queues for it.
+    fn run(&self, job: Job) {
+        let Job { request, input, writer, id, accepted_at } = job;
+        let (kind, trace) = (request.kind, request.trace_id);
+        // Everything the job records — the admission-wait and job spans
+        // here, and every engine span on pool workers via the pipeline's
+        // submit-time capture — carries the client-minted trace id.
+        with_trace_id(trace, || {
+            self.recorder.record_span(self.serve_track, "serve.wait", accepted_at);
+            self.recorder.counter("serve.bytes_in").add(input.len() as u64);
+            self.recorder.histogram("serve.job_bytes_in").record(input.len() as u64);
+            let start = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_job(&request, &input, &self.cache, Some(&self.recorder))
+            }));
+            self.lock_admission().finishing += 1;
+            self.recorder.record_span(self.serve_track, span_name(kind), start);
+            let dur = start.elapsed();
+            self.recorder.histogram("serve.job_duration_ns").record(dur.as_nanos() as u64);
+            let result = outcome.unwrap_or_else(|panic| {
+                Err(format!("internal error: job panicked: {}", panic_text(&*panic)))
+            });
+            self.recorder.counter(jobs_counter_name(kind, result.is_ok())).add(1);
+            let dur_ms = dur.as_millis() as u64;
+            if self.slow_ms > 0 && dur_ms >= self.slow_ms {
+                self.emit_event(&format!(
+                    "slow_request ts_ms={} trace={:016x} kind={} dur_ms={} bytes_in={}",
+                    Daemon::unix_ms(),
+                    trace,
+                    kind.name(),
+                    dur_ms,
+                    input.len(),
+                ));
+            }
+            match result {
+                Ok(bytes) => {
+                    self.recorder.counter("serve.bytes_out").add(bytes.len() as u64);
+                    self.recorder.histogram("serve.job_bytes_out").record(bytes.len() as u64);
+                    send_result(&writer, id, &bytes)
+                }
+                Err(msg) => {
+                    self.recorder.counter("serve.errors").add(1);
+                    self.emit_event(&format!(
+                        "job_error ts_ms={} trace={:016x} kind={} error={:?}",
+                        Daemon::unix_ms(),
+                        trace,
+                        kind.name(),
+                        msg,
+                    ));
+                    send_error(&writer, id, &msg);
+                }
+            }
+        });
+    }
+
+    /// Counts the job whose result was just written as drained, then
+    /// takes the next job: the first in the queue, else one handed to
+    /// this worker while it idles. `None` once the daemon drains, and
+    /// the worker exits.
+    fn next_job(&self) -> Option<Job> {
+        let handoff = {
+            let mut admission = self.lock_admission();
+            // Only now does the job count as drained: a graceful shutdown
+            // waits until results are on the wire, not merely computed.
+            admission.accepted -= 1;
+            admission.finishing -= 1;
+            self.job_stats.on_complete();
+            self.changed.notify_all();
+            if let Some((_, job)) = admission.queue.pop_first() {
+                return Some(job);
+            }
+            if admission.shutting_down {
+                admission.workers -= 1;
+                return None;
+            }
+            let (worker, handoff) = mpsc::channel();
+            admission.idle.push(worker);
+            handoff
+        };
+        let job = handoff.recv().ok();
+        if job.is_none() {
+            // Retired by a shutdown drain.
+            self.lock_admission().workers -= 1;
+            self.changed.notify_all();
+        }
+        job
+    }
+
+    /// Flips the shutdown flag, retires the idle workers, and blocks
+    /// until every accepted job has put its result on the wire and every
+    /// worker has exited. Idempotent; later calls just wait.
     fn begin_shutdown_and_drain(&self) {
-        let mut limits = self.limits.lock().unwrap();
-        limits.shutting_down = true;
-        while limits.accepted > 0 {
-            limits = self.changed.wait(limits).unwrap();
+        let mut admission = self.lock_admission();
+        admission.shutting_down = true;
+        admission.idle.clear();
+        while admission.accepted > 0 || admission.workers > 0 {
+            admission = self.changed.wait(admission).expect(ADMISSION_LOCK);
         }
     }
 
     fn is_shutting_down(&self) -> bool {
-        self.limits.lock().unwrap().shutting_down
-    }
-
-    /// Waits for in-flight jobs without initiating shutdown — the
-    /// accept loop's last act, so `serve` never returns with work live.
-    fn wait_drained(&self) {
-        let mut limits = self.limits.lock().unwrap();
-        while limits.accepted > 0 {
-            limits = self.changed.wait(limits).unwrap();
-        }
+        self.lock_admission().shutting_down
     }
 }
 
@@ -263,8 +462,8 @@ type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 /// Serves clients on a unix domain socket at `path` until a client
 /// sends `REQ_SHUTDOWN`. A stale socket file from a previous run is
-/// replaced. Returns once the listener has stopped and every accepted
-/// job has drained.
+/// replaced. Returns once the listener has stopped, every accepted job
+/// has drained and every job worker has exited.
 pub fn serve_unix(path: &Path, options: &ServeOptions) -> io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
@@ -305,18 +504,18 @@ pub fn serve_listener(
             });
         })?;
     }
-    daemon.wait_drained();
+    daemon.begin_shutdown_and_drain();
     Ok(())
 }
 
 /// Serves exactly one client over standard input/output — `tcgen serve
 /// --stdio`, the inetd/ssh-friendly mode. Returns at EOF or after a
-/// shutdown request drains.
+/// shutdown request, once the jobs have drained and the workers exited.
 pub fn serve_stdio(options: &ServeOptions) -> io::Result<()> {
     let daemon = Daemon::new(options);
     let writer: SharedWriter = Arc::new(Mutex::new(Box::new(io::stdout())));
     serve_connection(&daemon, io::BufReader::new(io::stdin()), &writer, &|| {});
-    daemon.wait_drained();
+    daemon.begin_shutdown_and_drain();
     Ok(())
 }
 
@@ -376,15 +575,24 @@ pub fn serve_connection(
                 }
             },
             frame_type::REQ_END => {
-                let Some(pending) = open.remove(&id) else {
+                let Some(OpenRequest { request, input }) = open.remove(&id) else {
                     send_error(writer, id, "end frame for a request that is not open");
                     return;
                 };
-                if !daemon.try_accept_job() {
-                    send_error(writer, id, "server is shutting down");
-                    continue;
+                let job = Job {
+                    request,
+                    input,
+                    writer: Arc::clone(writer),
+                    id,
+                    accepted_at: Instant::now(),
+                };
+                match daemon.admit(job) {
+                    Admitted::Placed => {}
+                    Admitted::StartWorker(job) => daemon.start_worker(job),
+                    Admitted::Refused(job) => {
+                        send_error(&job.writer, job.id, "server is shutting down")
+                    }
                 }
-                spawn_job(daemon, writer, id, pending);
             }
             frame_type::REQ_STATS => {
                 let start = Instant::now();
@@ -439,82 +647,6 @@ pub fn serve_connection(
                 return;
             }
         }
-    }
-}
-
-/// Runs one accepted job on its own thread: waits for an execution
-/// slot, executes under `catch_unwind`, and streams the outcome back.
-fn spawn_job(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u32, pending: OpenRequest) {
-    let daemon_for_job = Arc::clone(daemon);
-    let writer_for_job = Arc::clone(writer);
-    let spawned = std::thread::Builder::new().name("tcgen-serve-job".into()).spawn(move || {
-        let daemon = daemon_for_job;
-        let writer = writer_for_job;
-        let kind = pending.request.kind;
-        let trace = pending.request.trace_id;
-        // Everything the job records — the admission-wait and job spans
-        // here, and every engine span on pool workers via the pipeline's
-        // submit-time capture — carries the client-minted trace id.
-        with_trace_id(trace, || {
-            let wait_start = Instant::now();
-            daemon.acquire_slot();
-            daemon.recorder.record_span(daemon.serve_track, "serve.wait", wait_start);
-            daemon.recorder.counter("serve.bytes_in").add(pending.input.len() as u64);
-            daemon.recorder.histogram("serve.job_bytes_in").record(pending.input.len() as u64);
-            let start = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_job(&pending.request, &pending.input, &daemon.cache, Some(&daemon.recorder))
-            }));
-            // This thread makes no further engine call: free its table
-            // set before the result is sent, not when the thread exits.
-            drop_idle_tables();
-            daemon.recorder.record_span(daemon.serve_track, span_name(kind), start);
-            let dur = start.elapsed();
-            daemon.recorder.histogram("serve.job_duration_ns").record(dur.as_nanos() as u64);
-            let result = match outcome {
-                Ok(result) => result,
-                Err(panic) => {
-                    Err(format!("internal error: job panicked: {}", panic_text(&panic)))
-                }
-            };
-            daemon.recorder.counter(jobs_counter_name(kind, result.is_ok())).add(1);
-            let dur_ms = dur.as_millis() as u64;
-            if daemon.slow_ms > 0 && dur_ms >= daemon.slow_ms {
-                daemon.emit_event(&format!(
-                    "slow_request ts_ms={} trace={:016x} kind={} dur_ms={} bytes_in={}",
-                    Daemon::unix_ms(),
-                    trace,
-                    kind.name(),
-                    dur_ms,
-                    pending.input.len(),
-                ));
-            }
-            match result {
-                Ok(bytes) => {
-                    daemon.recorder.counter("serve.bytes_out").add(bytes.len() as u64);
-                    daemon.recorder.histogram("serve.job_bytes_out").record(bytes.len() as u64);
-                    send_result(&writer, id, &bytes)
-                }
-                Err(msg) => {
-                    daemon.recorder.counter("serve.errors").add(1);
-                    daemon.emit_event(&format!(
-                        "job_error ts_ms={} trace={:016x} kind={} error={:?}",
-                        Daemon::unix_ms(),
-                        trace,
-                        kind.name(),
-                        msg,
-                    ));
-                    send_error(&writer, id, &msg);
-                }
-            }
-            // Only now does the job count as drained: a graceful shutdown
-            // waits until results are on the wire, not merely computed.
-            daemon.finish_job();
-        });
-    });
-    if spawned.is_err() {
-        daemon.abandon_job();
-        send_error(writer, id, "internal error: could not spawn a job thread");
     }
 }
 
@@ -582,22 +714,39 @@ fn send_error(writer: &SharedWriter, id: u32, msg: &str) {
 mod tests {
     use super::*;
 
-    /// A job whose thread could not be spawned gives back its accepted
-    /// count and nothing else: the counts read zero, and the next job
-    /// gets the only slot at once.
-    #[test]
-    fn an_unspawned_job_releases_only_its_accepted_count() {
-        let daemon = Daemon::new(&ServeOptions { max_jobs: 1, ..ServeOptions::default() });
-        assert!(daemon.try_accept_job());
-        daemon.abandon_job();
-        assert_eq!(daemon.running_jobs(), 0);
-        assert_eq!(daemon.queue_depth(), 0);
+    fn sleep_job() -> Job {
+        Job {
+            request: JobRequest::new(JobKind::DebugSleep, ""),
+            input: Vec::new(),
+            writer: Arc::new(Mutex::new(Box::new(io::sink()))),
+            id: 1,
+            accepted_at: Instant::now(),
+        }
+    }
 
-        assert!(daemon.try_accept_job());
-        daemon.acquire_slot();
+    /// A job whose worker could not start gives back its accepted count
+    /// and its worker place: the counts read zero, and the next job takes
+    /// the only place at once. A job queued behind it takes the place
+    /// over instead of waiting for a worker that never started.
+    #[test]
+    fn a_worker_that_fails_to_start_releases_its_job() {
+        let daemon = Daemon::new(&ServeOptions { max_jobs: 1, ..ServeOptions::default() });
+        assert!(matches!(daemon.admit(sleep_job()), Admitted::StartWorker(_)));
         assert_eq!(daemon.running_jobs(), 1);
-        assert_eq!(daemon.recorder().counter("serve.backpressure_waits").get(), 0);
-        daemon.finish_job();
+        assert!(daemon.worker_not_started().is_none());
         assert_eq!((daemon.running_jobs(), daemon.queue_depth()), (0, 0));
+
+        assert!(matches!(daemon.admit(sleep_job()), Admitted::StartWorker(_)));
+        let backpressure = daemon.recorder().counter("serve.backpressure_waits");
+        assert_eq!(backpressure.get(), 0);
+        assert!(matches!(daemon.admit(sleep_job()), Admitted::Placed));
+        assert_eq!((daemon.queue_depth(), backpressure.get()), (1, 1));
+        let next = daemon.worker_not_started().expect("the queued job takes the place");
+        assert_eq!((daemon.running_jobs(), daemon.queue_depth()), (1, 0));
+
+        daemon.start_worker(next);
+        daemon.begin_shutdown_and_drain();
+        assert_eq!((daemon.running_jobs(), daemon.queue_depth()), (0, 0));
+        assert!(matches!(daemon.admit(sleep_job()), Admitted::Refused(_)));
     }
 }

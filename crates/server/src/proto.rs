@@ -228,18 +228,10 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes` —
-/// the same function the TCGZ container uses for its block checksums.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xedb8_8320 & 0u32.wrapping_sub(crc & 1));
-        }
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of a frame
+/// payload: blockzip's slicing-by-8 function, the one the TCGZ container
+/// uses for its checksums.
+pub use tcgen_engine::blockzip::crc::crc32;
 
 /// Writes one frame. The payload must not exceed [`MAX_PAYLOAD`];
 /// callers stream bigger data as multiple chunks.

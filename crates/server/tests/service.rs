@@ -186,9 +186,10 @@ fn a_panicking_job_is_an_error_frame_not_a_dead_daemon() {
     let mut client = Client::connect(&path).unwrap();
     let err = client.run(&JobRequest::new(JobKind::DebugPanic, ""), b"boom").unwrap_err();
     match err {
-        ClientError::Server(msg) => {
-            assert!(msg.contains("internal error") && msg.contains("panicked"), "{msg}")
-        }
+        ClientError::Server(msg) => assert!(
+            msg.contains("internal error: job panicked: debug-panic job requested"),
+            "{msg}"
+        ),
         other => panic!("expected a server error frame, got {other:?}"),
     }
     // Same connection, next job: the daemon and its pool survived.
@@ -287,6 +288,60 @@ fn engine_cache_hits_misses_and_evictions_show_in_stats() {
     let stats = client.stats().unwrap();
     assert!(stats.contains("\"serve.cache_hit\":1"), "{stats}");
     assert!(stats.contains("\"serve.cache_miss\":3"), "{stats}");
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// The `tables.built` and `tables.reused` counters of a stats report.
+fn table_counts(stats: &str) -> (u64, u64) {
+    let v = json::parse(stats).expect("stats JSON parses");
+    let counters = v.get("counters").unwrap();
+    let count = |name| counters.get(name).and_then(|c| c.as_u64()).unwrap_or(0);
+    (count("tables.built"), count("tables.reused"))
+}
+
+#[test]
+fn sequential_jobs_reuse_one_worker_table_set() {
+    let (path, handle) = start_daemon(ServeOptions::default());
+    let raw = trace(400);
+    let mut req = JobRequest::new(JobKind::Compress, SPEC);
+    req.threads = 1;
+    let mut client = Client::connect(&path).unwrap();
+    let first = client.run(&req, &raw).unwrap();
+    for _ in 0..5 {
+        assert_eq!(client.run(&req, &raw).unwrap(), first);
+    }
+    // Each job goes to the worker that served the one before, which
+    // resets its parked set instead of building one.
+    assert_eq!(table_counts(&client.stats().unwrap()), (1, 5));
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn concurrent_closed_loop_clients_build_one_table_set_each_at_most() {
+    let (path, handle) = start_daemon(ServeOptions::default());
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let raw = trace(400);
+                let mut req = JobRequest::new(JobKind::Compress, SPEC);
+                req.threads = 1;
+                let mut client = Client::connect(&path).unwrap();
+                for _ in 0..5 {
+                    client.run(&req, &raw).unwrap();
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    let mut client = Client::connect(&path).unwrap();
+    let (built, reused) = table_counts(&client.stats().unwrap());
+    assert!(built <= 2, "two closed-loop clients need two workers: built {built}");
+    assert_eq!(built + reused, 10, "one set per job, built or reused");
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
@@ -395,8 +450,47 @@ fn job_failures_emit_a_structured_event_line() {
     assert!(err_lines[0].contains("ts_ms="), "{}", err_lines[0]);
     assert!(err_lines[0].contains("trace=000000000000dead"), "{}", err_lines[0]);
     assert!(err_lines[0].contains("kind=panic"), "{}", err_lines[0]);
-    assert!(err_lines[0].contains("panicked"), "{}", err_lines[0]);
+    assert!(err_lines[0].contains("panicked: debug-panic job requested"), "{}", err_lines[0]);
 
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn queued_jobs_start_highest_priority_first() {
+    let (path, daemon, handle) =
+        start_owned_daemon(ServeOptions { max_jobs: 1, ..ServeOptions::default() });
+    let wait_until = |what: &str, ready: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let finished = Arc::new(Mutex::new(Vec::new()));
+    let submit = |name: &'static str, priority: u8, millis: u64| {
+        let (path, finished) = (path.clone(), Arc::clone(&finished));
+        std::thread::spawn(move || {
+            let mut req = sleep_request(millis);
+            req.priority = priority;
+            Client::connect(&path).unwrap().run(&req, name.as_bytes()).unwrap();
+            finished.lock().unwrap().push(name);
+        })
+    };
+    // The only worker runs a 300 ms job while two more queue, the
+    // priority-1 job first.
+    let blocker = submit("blocker", 0, 300);
+    wait_until("the blocker to start", &|| daemon.running_jobs() == 1);
+    let low = submit("low", 1, 50);
+    wait_until("the low job to queue", &|| daemon.queue_depth() == 1);
+    let high = submit("high", 9, 50);
+    wait_until("the high job to queue", &|| daemon.queue_depth() == 2);
+    for client in [blocker, low, high] {
+        client.join().unwrap();
+    }
+    assert_eq!(*finished.lock().unwrap(), ["blocker", "high", "low"]);
+
+    let mut client = Client::connect(&path).unwrap();
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
